@@ -46,6 +46,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _grid_number(field: str, text: str, kind=float):
+    try:
+        return kind(field)
+    except ValueError:
+        raise DomainError(f"malformed number {field!r} in grid spec {text!r}") from None
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Grid mini-language: ``geom:start:stop:count``, ``lin:start:stop:count``,
     or a comma-separated list of values."""
@@ -53,8 +60,10 @@ def parse_grid(text: str) -> np.ndarray:
     if parts[0] in ("geom", "lin"):
         if len(parts) != 4:
             raise DomainError(f"grid spec needs 3 fields after '{parts[0]}:', got {text!r}")
-        start, stop = float(parts[1]), float(parts[2])
-        count = int(parts[3])
+        start, stop = _grid_number(parts[1], text), _grid_number(parts[2], text)
+        count = _grid_number(parts[3], text, int)
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise DomainError(f"grid spec {text!r} has a non-finite bound")
         if count < 1:
             raise DomainError(f"grid count must be >= 1, got {count}")
         if parts[0] == "geom":
@@ -64,9 +73,11 @@ def parse_grid(text: str) -> np.ndarray:
         if stop <= start:
             raise DomainError(f"lin grid needs start < stop, got {text!r}")
         return np.linspace(start, stop, count)
-    vals = np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    vals = np.array([_grid_number(v, text) for v in text.split(",") if v.strip() != ""])
     if len(vals) == 0:
         raise DomainError(f"empty grid spec {text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"grid spec {text!r} has a non-finite value")
     if np.any(np.diff(vals) <= 0):
         raise DomainError("grid values must be strictly increasing")
     return vals
@@ -293,6 +304,8 @@ def cmd_delta(args) -> int:
 
 def cmd_simulate(args) -> int:
     t_grid = parse_grid(args.t_grid)
+    if args.reps < 1:
+        raise DomainError(f"--reps must be >= 1, got {args.reps}")
     spec = _build_path_spec(args, args.process, t_grid)
     rows = []
     for rep in range(args.reps):

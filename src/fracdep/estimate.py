@@ -19,7 +19,10 @@ import numpy as np
 from . import analytic
 from .analytic import (FnbpParams, FppParams, NoiseParams, classify_exponent)
 from .errors import DomainError, NumericalError
-from .sim import PathSpec, SamplePath, Seed, increment_path, sample_process_path
+# increment_path is unused here but stays importable as
+# fracdep.estimate.increment_path
+from .sim import (PathSpec, SamplePath, Seed, _increment_pairs,  # noqa: F401
+                  increment_path, sample_process_path)
 
 __all__ = [
     "BOOTSTRAP_RESAMPLES",
@@ -178,6 +181,8 @@ def mc_correlation(spec: PathSpec, s: float, t_grid, reps: int, seed: Seed,
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps}")
     t = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t) <= 0.0):
+        raise DomainError("curve t values must be strictly increasing")
     t_min = float(t.min())
     if not (s < t_min):
         raise DomainError(f"s={s} must be below min(t_grid)={t_min}")
@@ -196,10 +201,10 @@ def mc_correlation(spec: PathSpec, s: float, t_grid, reps: int, seed: Seed,
         def extract(path: SamplePath) -> np.ndarray:
             return path.values[pick]
     else:
-        base = np.concatenate(([s], t))
+        _, lo, hi = _increment_pairs(sim_grid, delta, times=np.concatenate(([s], t)))
 
         def extract(path: SamplePath) -> np.ndarray:
-            return increment_path(path, delta, times=base).values
+            return path.values[hi] - path.values[lo]
 
     out = np.empty((reps, len(t) + 1))
     _run_replications(sim_spec, reps, seed, threads, out, extract)
@@ -292,14 +297,49 @@ def fit_power_law(curve: CorrelationCurve,
 # Empirical block-variance ratio
 # ---------------------------------------------------------------------------
 
+def _weighted_block_ratios(counts: np.ndarray, incs: np.ndarray, n: int,
+                           m_arr: np.ndarray) -> np.ndarray:
+    """Delta_n^(m) of the sample that takes replication i counts[b, i] times,
+    for every row b of ``counts`` (each row sums to the number of replications).
+
+    With R replications, window row sums y_i, squared-entry row sums q_i and
+    column sums T1_j = sum_i c_i x_ij, the ratio of the sample variances is
+
+        (R sum c y^2 - (sum c y)^2) / (R sum c q - sum_j T1_j^2),
+
+    the common factor R (R - 1) cancelling.  Unit increments are integers,
+    so every sum is exact while it stays below 2^53.  A sample whose window
+    columns all have zero variance gives NaN.
+    """
+    reps = incs.shape[0]
+    out = np.empty((counts.shape[0], len(m_arr)))
+    for k, m in enumerate(m_arr):
+        window = incs[:, (n - 1) * m:n * m]
+        y = window.sum(axis=1)
+        q = np.einsum("ij,ij->i", window, window)
+        num = reps * (counts @ (y * y)) - (counts @ y) ** 2
+        col = counts @ window
+        den = reps * (counts @ q) - np.einsum("bj,bj->b", col, col)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[:, k] = np.where(den > 0, num / den, math.nan)
+    return out
+
+
 def delta_empirical(params: FppParams, n: int, m_values: Sequence[int],
                     reps: int, seed: Seed, threads: int = 0,
                     stable_step: Optional[float] = None,
                     bootstrap: int = BOOTSTRAP_RESAMPLES) -> DeltaTable:
     """Delta_n^(m) estimated from simulated FPP paths on the integer grid.
 
-    The same paths feed numerator and denominator (common random numbers);
-    bootstrap over replications gives the standard error of the ratio.
+    The same paths feed numerator and denominator (common random numbers):
+    Delta is the sample variance of the block sum over the sum of the
+    sample variances of its unit increments.  The standard error is the
+    spread of ``bootstrap`` resamples of the replications.  A resample
+    enters only through how often it takes each replication, so every
+    estimate is computed from count-weighted sums (see
+    :func:`_weighted_block_ratios`); the point estimate weights each
+    replication once.  Resamples whose window has no variance give NaN and
+    are left out of the standard error.
     """
     if reps < 1000:
         raise DomainError(f"need reps >= 1000, got {reps}")
@@ -314,21 +354,12 @@ def delta_empirical(params: FppParams, n: int, m_values: Sequence[int],
     _run_replications(spec, reps, seed, threads, incs,
                       lambda path: np.diff(np.concatenate(([0.0], path.values))))
 
-    def ratios(unit_incs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(m_arr))
-        for k, m in enumerate(m_arr):
-            lo, hi = (n - 1) * m, n * m
-            window = unit_incs[:, lo:hi]
-            num = float(np.var(window.sum(axis=1), ddof=1))
-            den = float(np.sum(np.var(window, axis=0, ddof=1)))
-            out[k] = num / den if den > 0 else math.nan
-        return out
-
-    value = ratios(incs)
+    value = _weighted_block_ratios(np.ones((1, reps)), incs, n, m_arr)[0]
     boot_rng = seed.rng(0xB007)
-    boot = np.empty((bootstrap, len(m_arr)))
+    counts = np.empty((bootstrap, reps))
     for b in range(bootstrap):
-        boot[b] = ratios(incs[boot_rng.integers(0, reps, reps)])
-    std_error = np.nanstd(boot, axis=0, ddof=1)
+        counts[b] = np.bincount(boot_rng.integers(0, reps, reps), minlength=reps)
+    std_error = np.nanstd(_weighted_block_ratios(counts, incs, n, m_arr),
+                          axis=0, ddof=1)
     return DeltaTable(n=n, m=m_arr, value=value, std_error=std_error,
                       source=EMPIRICAL)

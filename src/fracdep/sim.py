@@ -10,7 +10,11 @@ single-time validation.
 
 Draw order within a replication is fixed (gamma clock, then stable chunks,
 then Poisson thinning), so a (root, stream) pair reproduces a path
-bit-for-bit.
+bit-for-bit.  First passage draws the uniform V and exponential W of
+Kanter's construction a whole chunk at a time, but transforms and sums them
+only up to the sub-block in which the subordinator passes the last target.
+The draws past passage are discarded untransformed, so neither the stream
+nor the path depends on where the transform stops.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ PROCESSES = ("poisson", "gamma", "inv_stable", "fpp", "nb", "fnbp")
 # stable steps needed to exceed the largest requested time
 DEFAULT_TARGET_STEPS = 10_000
 DEFAULT_MAX_STEPS = 20_000_000
+# first passage transforms a chunk's stable steps one sub-block at a time,
+# max(MIN_PASSAGE_BLOCK, chunk // 8) of them: each sub-block costs a fixed
+# call overhead of a few hundred transforms, and on average half of the one
+# in which passage falls is wasted
+MIN_PASSAGE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,24 @@ class PathSpec:
 # Elementary samplers
 # ---------------------------------------------------------------------------
 
+def _kanter_inputs(rng: np.random.Generator, n: int):
+    """n uniforms V on (0, 1), then n unit exponentials W."""
+    v = np.maximum(rng.random(n), 1e-300)  # open interval (0, 1)
+    w = np.maximum(rng.standard_exponential(n), 1e-300)
+    return v, w
+
+
+def _kanter(beta: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kanter's transform of (V, W) in log space; overflows to inf unless
+    the caller ignores it."""
+    r = (1.0 - beta) / beta
+    log_s = (np.log(np.sin(beta * math.pi * v))
+             + r * np.log(np.sin((1.0 - beta) * math.pi * v))
+             - np.log(np.sin(math.pi * v)) / beta
+             - r * np.log(w))
+    return np.exp(log_s)
+
+
 def sample_positive_stable(beta: float, rng: np.random.Generator, size=None):
     """Draw S > 0 with Laplace transform E[exp(-u S)] = exp(-u^beta), 0 < beta < 1.
 
@@ -145,17 +172,9 @@ def sample_positive_stable(beta: float, rng: np.random.Generator, size=None):
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must be in (0, 1), got {beta}")
     scalar = size is None
-    n = 1 if scalar else size
-    v = rng.random(n)
-    v = np.maximum(v, 1e-300)  # open interval (0, 1)
-    w = np.maximum(rng.standard_exponential(n), 1e-300)
-    r = (1.0 - beta) / beta
+    v, w = _kanter_inputs(rng, 1 if scalar else size)
     with np.errstate(over="ignore"):
-        log_s = (np.log(np.sin(beta * math.pi * v))
-                 + r * np.log(np.sin((1.0 - beta) * math.pi * v))
-                 - np.log(np.sin(math.pi * v)) / beta
-                 - r * np.log(w))
-        s = np.exp(log_s)
+        s = _kanter(beta, v, w)
     return float(s[0]) if scalar else s
 
 
@@ -189,33 +208,63 @@ def _auto_step(beta: float, t_char: float, target_steps: int = DEFAULT_TARGET_ST
 def _first_passage(beta: float, targets: np.ndarray, step: float,
                    rng: np.random.Generator, max_steps: int) -> np.ndarray:
     """E_b at nondecreasing targets via first passage of a discretized
-    stable subordinator D(k*step) = sum step^{1/b} S_k."""
+    stable subordinator D(k*step) = sum step^{1/b} S_k.
+
+    Each chunk draws all its V and W at once; the transform and the
+    cumulative sum then run one sub-block at a time and stop at the
+    sub-block where D passes the last target.  The chunk's running sum is
+    added into the first element of each sub-block, so D is bitwise the
+    sequential cumsum of the whole chunk.
+    """
     t_max = float(targets[-1])
     if t_max == 0.0:
         return np.zeros_like(targets)
     expected = max(16, int(t_max ** beta / math.exp(math.lgamma(1.0 + beta)) / step))
     chunk = int(min(max(1024, 2 * expected), 2 ** 20))
+    block = max(MIN_PASSAGE_BLOCK, chunk // 8)
     scale = step ** (1.0 / beta)
     if scale == 0.0:
         raise NumericalError(f"stable_step={step} underflows step^(1/beta); increase it")
     segments = []
     total = 0
     level = 0.0
-    while level <= t_max:
-        if total >= max_steps:
-            raise ResourceCapError(
-                f"first passage needed more than max_steps={max_steps} steps")
-        n = min(chunk, max_steps - total)
-        with np.errstate(over="ignore", invalid="ignore"):
-            seg = np.cumsum(scale * sample_positive_stable(beta, rng, size=n)) + level
-        segments.append(seg)
-        total += n
-        level = float(seg[-1])
-        if math.isnan(level):
-            raise NumericalError("stable increment sum became NaN")
+    with np.errstate(over="ignore", invalid="ignore"):
+        while level <= t_max:
+            if total >= max_steps:
+                raise ResourceCapError(
+                    f"first passage needed more than max_steps={max_steps} steps")
+            n = min(chunk, max_steps - total)
+            v, w = _kanter_inputs(rng, n)
+            total += n
+            chunk_base = level
+            run = 0.0
+            for lo in range(0, n, block):
+                hi = lo + block
+                x = scale * _kanter(beta, v[lo:hi], w[lo:hi])
+                x[0] += run
+                part = np.cumsum(x)
+                run = part[-1]
+                seg = part + chunk_base
+                segments.append(seg)
+                level = float(seg[-1])
+                if math.isnan(level):
+                    raise NumericalError("stable increment sum became NaN")
+                if level > t_max:
+                    break
     d_path = np.concatenate(segments) if len(segments) > 1 else segments[0]
     k = np.searchsorted(d_path, targets, side="right")
     return (k + 1).astype(float) * step
+
+
+def _inverse_stable_values(beta: float, targets: np.ndarray, step: Optional[float],
+                           rng: np.random.Generator, max_steps: int) -> np.ndarray:
+    """E_b at nondecreasing targets >= 0; ``step=None`` takes the default
+    step for the last target, and beta == 1 is the identity clock."""
+    if beta == 1.0:
+        return targets
+    if step is None:
+        step = _auto_step(beta, float(targets[-1]))
+    return _first_passage(beta, targets, step, rng, max_steps)
 
 
 def sample_inverse_stable_path(beta: float, t_grid, stable_step: Optional[float],
@@ -229,9 +278,14 @@ def sample_inverse_stable_path(beta: float, t_grid, stable_step: Optional[float]
         return SamplePath(grid, grid.copy())
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must be in (0, 1], got {beta}")
-    step = stable_step if stable_step is not None else _auto_step(beta, float(grid[-1]))
-    values = _first_passage(beta, grid, step, rng, max_steps)
-    return SamplePath(grid, values)
+    return SamplePath(grid, _inverse_stable_values(beta, grid, stable_step, rng, max_steps))
+
+
+def _gamma_values(gamma: GammaParams, grid: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Gamma subordinator at a strictly increasing positive grid."""
+    dt = np.diff(np.concatenate(([0.0], grid)))
+    return np.cumsum(rng.gamma(shape=gamma.p * dt, scale=1.0 / gamma.alpha))
 
 
 def sample_gamma_path(gamma: GammaParams, t_grid, rng: np.random.Generator) -> SamplePath:
@@ -239,9 +293,7 @@ def sample_gamma_path(gamma: GammaParams, t_grid, rng: np.random.Generator) -> S
     grid = np.asarray(t_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("t_grid must be strictly increasing and positive")
-    dt = np.diff(np.concatenate(([0.0], grid)))
-    incs = rng.gamma(shape=gamma.p * dt, scale=1.0 / gamma.alpha)
-    return SamplePath(grid, np.cumsum(incs))
+    return SamplePath(grid, _gamma_values(gamma, grid, rng))
 
 
 def sample_poisson_count(mu: float, rng: np.random.Generator) -> int:
@@ -268,46 +320,40 @@ def sample_process_path(spec: PathSpec, seed: Seed) -> SamplePath:
     rng = seed.rng()
     grid = spec.t_grid
     kind = spec.process
-    if kind == "poisson":
-        return SamplePath(grid, _poisson_compose(spec.params.lam, grid, rng))
+    params = spec.params
     if kind == "gamma":
-        return sample_gamma_path(spec.params, grid, rng)
+        return sample_gamma_path(params, grid, rng)
     if kind == "inv_stable":
-        return sample_inverse_stable_path(spec.params.beta, grid,
-                                          spec.stable_step, rng, spec.max_steps)
-    if kind == "fpp":
-        clock = sample_inverse_stable_path(spec.params.beta, grid,
-                                           spec.stable_step, rng, spec.max_steps)
-        return SamplePath(grid, _poisson_compose(spec.params.lam, clock.values, rng))
-    if kind == "nb":
-        gamma_clock = sample_gamma_path(spec.params.gamma, grid, rng)
-        return SamplePath(grid, _poisson_compose(spec.params.fpp.lam,
-                                                 gamma_clock.values, rng))
-    if kind == "fnbp":
-        fpp = spec.params.fpp
-        gamma_clock = sample_gamma_path(spec.params.gamma, grid, rng)
-        y = gamma_clock.values
-        if fpp.beta == 1.0:
-            stable_clock = y
-        else:
-            step = spec.stable_step
-            if step is None:
-                step = _auto_step(fpp.beta, float(max(y[-1], 1e-300)))
-            stable_clock = _first_passage(fpp.beta, y, step, rng, spec.max_steps)
-        return SamplePath(grid, _poisson_compose(fpp.lam, stable_clock, rng))
-    raise DomainError(f"unknown process {kind!r}")
+        return sample_inverse_stable_path(params.beta, grid, spec.stable_step,
+                                          rng, spec.max_steps)
+    # the clocks are built as arrays: spec.t_grid is already validated, and
+    # only the returned path is checked
+    if kind == "poisson":
+        lam, clock = params.lam, grid
+    elif kind == "fpp":
+        lam = params.lam
+        clock = _inverse_stable_values(params.beta, grid, spec.stable_step,
+                                       rng, spec.max_steps)
+    elif kind == "nb":
+        lam, clock = params.fpp.lam, _gamma_values(params.gamma, grid, rng)
+    elif kind == "fnbp":
+        fpp = params.fpp
+        y = _gamma_values(params.gamma, grid, rng)
+        step = spec.stable_step
+        if step is None and fpp.beta != 1.0:
+            step = _auto_step(fpp.beta, float(max(y[-1], 1e-300)))
+        lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, step, rng,
+                                                     spec.max_steps)
+    else:
+        raise DomainError(f"unknown process {kind!r}")
+    return SamplePath(grid, _poisson_compose(lam, clock, rng))
 
 
-def increment_path(path: SamplePath, delta: float, times=None) -> SamplePath:
-    """Width-delta increments X(t+delta) - X(t) read off an existing path.
-
-    ``times`` selects the left endpoints (default: every grid time whose
-    partner t+delta is also on the grid).  Raises :class:`GridError` when a
-    requested pair is absent.
-    """
+def _increment_pairs(grid: np.ndarray, delta: float, times=None):
+    """(left endpoints, lo, hi) of the increments :func:`increment_path`
+    reads: grid[hi] = grid[lo] + delta to within 1e-9 * max(1, grid[-1])."""
     if not (delta > 0.0):
         raise DomainError(f"delta must be > 0, got {delta}")
-    grid = path.times
     tol = 1e-9 * max(1.0, float(grid[-1]))
 
     def _locate(pts: np.ndarray) -> np.ndarray:
@@ -328,12 +374,17 @@ def increment_path(path: SamplePath, delta: float, times=None) -> SamplePath:
         has_partner = np.abs(grid[i_hi] - (grid + delta)) <= tol
         if not np.any(has_partner):
             raise GridError(f"no time on the grid has a partner at +{delta}")
-        base = grid[has_partner]
-        hi = i_hi[has_partner]
-        lo = np.arange(len(grid))[has_partner]
-    else:
-        base = np.asarray(times, dtype=float)
-        lo = _locate(base)
-        hi = _locate(base + delta)
-    vals = path.values[hi] - path.values[lo]
-    return SamplePath(base, vals, nondecreasing=False)
+        return grid[has_partner], np.arange(len(grid))[has_partner], i_hi[has_partner]
+    base = np.asarray(times, dtype=float)
+    return base, _locate(base), _locate(base + delta)
+
+
+def increment_path(path: SamplePath, delta: float, times=None) -> SamplePath:
+    """Width-delta increments X(t+delta) - X(t) read off an existing path.
+
+    ``times`` selects the left endpoints (default: every grid time whose
+    partner t+delta is also on the grid).  Raises :class:`GridError` when a
+    requested pair is absent.
+    """
+    base, lo, hi = _increment_pairs(path.times, delta, times)
+    return SamplePath(base, path.values[hi] - path.values[lo], nondecreasing=False)

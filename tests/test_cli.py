@@ -40,6 +40,21 @@ class TestParseGrid:
         with pytest.raises(DomainError):
             parse_grid("3,2,1")
 
+    @pytest.mark.parametrize("spec", ["geom:1:x:5", "lin:0:1:2.5", "1,,abc",
+                                      "geom:1:1e400:5", "lin:-inf:1:3", "1,nan,3"])
+    def test_malformed_or_non_finite(self, spec):
+        with pytest.raises(DomainError, match="grid spec"):
+            parse_grid(spec)
+
+    @pytest.mark.parametrize("spec", ["geom:1:x:5", "1,,abc", "geom:1:1e400:5"])
+    def test_bad_grid_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "moments", "--process", "fpp",
+                                 "--beta", "0.5", "--lambda", "1", "--t", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and spec in err
+        assert "Traceback" not in err
+
 
 class TestMoments:
     def test_poisson_case(self, capsys):
@@ -232,6 +247,15 @@ class TestSimulate:
         mean = float(data_rows(mom_out)[1].split(",")[1])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - mean) <= 3.0 * se
+
+    @pytest.mark.parametrize("reps", ["-1", "0"])
+    def test_nonpositive_reps_exit_2(self, capsys, reps):
+        code, out, err = run_cli(capsys, "simulate", "--process", "poisson",
+                                 "--beta", "1", "--lambda", "1",
+                                 "--t-grid", "1,2", "--reps", reps)
+        assert code == 2
+        assert out == ""
+        assert "--reps" in err
 
     def test_json_shape(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--process", "gamma",

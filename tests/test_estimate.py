@@ -7,10 +7,10 @@ import pytest
 
 from fracdep.analytic import FnbpParams, FppParams, GammaParams, delta_statistic
 from fracdep.errors import DomainError, NumericalError
-from fracdep.estimate import (CorrelationCurve, analytic_curve, default_fit_cutoff,
-                              delta_empirical, fit_power_law, mc_correlation,
-                              mc_marginal_moments)
-from fracdep.sim import PathSpec, Seed
+from fracdep.estimate import (CorrelationCurve, _weighted_block_ratios, analytic_curve,
+                              default_fit_cutoff, delta_empirical, fit_power_law,
+                              mc_correlation, mc_marginal_moments)
+from fracdep.sim import PathSpec, Seed, sample_process_path
 
 
 def geom_grid(lo=100.0, hi=1e6, n=25):
@@ -245,6 +245,50 @@ class TestDeltaEmpirical:
     def test_validation(self):
         with pytest.raises(DomainError):
             delta_empirical(FppParams(0.5, 1.0), 2, [10], reps=100, seed=Seed(1))
+
+
+def loop_ratios(unit_incs, n, m_arr):
+    """Reference: Delta per m from the sample variances of a resampled matrix."""
+    out = np.empty(len(m_arr))
+    for k, m in enumerate(m_arr):
+        lo, hi = (n - 1) * m, n * m
+        window = unit_incs[:, lo:hi]
+        num = float(np.var(window.sum(axis=1), ddof=1))
+        den = float(np.sum(np.var(window, axis=0, ddof=1)))
+        out[k] = num / den if den > 0 else math.nan
+    return out
+
+
+class TestCountWeightedBootstrap:
+    def test_delta_empirical_matches_loop_bootstrap(self):
+        p, n, m_arr, reps = FppParams(0.5, 1.0), 2, np.array([3, 7]), 1000
+        grid = np.arange(1.0, n * m_arr.max() + 1.0)
+        spec = PathSpec("fpp", p, grid, stable_step=0.05)
+        seed = Seed(61)
+        table = delta_empirical(p, n, list(m_arr), reps, seed, stable_step=0.05)
+        incs = np.array([np.diff(sample_process_path(spec, seed.child(i)).values,
+                                 prepend=0.0) for i in range(reps)])
+        boot_rng = seed.rng(0xB007)
+        boot = np.array([loop_ratios(incs[boot_rng.integers(0, reps, reps)], n, m_arr)
+                         for _ in range(200)])
+        assert table.value == pytest.approx(loop_ratios(incs, n, m_arr), rel=1e-12)
+        assert table.std_error == pytest.approx(np.nanstd(boot, axis=0, ddof=1),
+                                                rel=1e-12)
+
+    def test_zero_variance_resample_is_nan_and_dropped(self):
+        rng = np.random.default_rng(8)
+        n, m_arr, reps = 2, np.array([4, 6]), 50
+        incs = rng.poisson(0.7, size=(reps, n * m_arr.max())).astype(float)
+        idx = [rng.integers(0, reps, reps) for _ in range(5)]
+        idx.append(np.full(reps, 3))  # one replication: no variance anywhere
+        counts = np.array([np.bincount(i, minlength=reps) for i in idx], dtype=float)
+        weighted = _weighted_block_ratios(counts, incs, n, m_arr)
+        loop = np.array([loop_ratios(incs[i], n, m_arr) for i in idx])
+        assert np.all(np.isnan(weighted[-1])) and np.all(np.isnan(loop[-1]))
+        assert weighted[:-1] == pytest.approx(loop[:-1], rel=1e-12)
+        kept = np.nanstd(loop, axis=0, ddof=1)
+        assert kept == pytest.approx(np.std(loop[:-1], axis=0, ddof=1), rel=1e-15)
+        assert np.nanstd(weighted, axis=0, ddof=1) == pytest.approx(kept, rel=1e-12)
 
 
 class TestNbCovarianceOracle:

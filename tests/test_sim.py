@@ -9,11 +9,12 @@ import pytest
 
 from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fnbp_mean, fpn_variance, fpp_mean, nb_pmf)
-from fracdep.errors import DomainError, GridError, ResourceCapError
-from fracdep.sim import (PathSpec, SamplePath, Seed, increment_path,
-                         sample_gamma_path, sample_inverse_stable_marginal,
-                         sample_inverse_stable_path, sample_poisson_count,
-                         sample_positive_stable, sample_process_path)
+from fracdep.errors import DomainError, GridError, NumericalError, ResourceCapError
+from fracdep.sim import (PathSpec, SamplePath, Seed, _auto_step, _first_passage,
+                         increment_path, sample_gamma_path,
+                         sample_inverse_stable_marginal, sample_inverse_stable_path,
+                         sample_poisson_count, sample_positive_stable,
+                         sample_process_path)
 from fracdep.specfun import gamma_frac_moment
 
 
@@ -132,6 +133,93 @@ class TestInverseStablePath:
         with pytest.raises(ResourceCapError):
             sample_inverse_stable_path(0.5, np.array([100.0]), 1e-6,
                                        Seed(1).rng(), max_steps=1000)
+
+
+def eager_first_passage(beta, targets, step, rng, max_steps):
+    """Reference: first passage that transforms every stable step it draws."""
+    t_max = float(targets[-1])
+    if t_max == 0.0:
+        return np.zeros_like(targets)
+    expected = max(16, int(t_max ** beta / math.exp(math.lgamma(1.0 + beta)) / step))
+    chunk = int(min(max(1024, 2 * expected), 2 ** 20))
+    scale = step ** (1.0 / beta)
+    if scale == 0.0:
+        raise NumericalError(f"stable_step={step} underflows step^(1/beta); increase it")
+    segments = []
+    total = 0
+    level = 0.0
+    while level <= t_max:
+        if total >= max_steps:
+            raise ResourceCapError(
+                f"first passage needed more than max_steps={max_steps} steps")
+        n = min(chunk, max_steps - total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = np.cumsum(scale * sample_positive_stable(beta, rng, size=n)) + level
+        segments.append(seg)
+        total += n
+        level = float(seg[-1])
+        if math.isnan(level):
+            raise NumericalError("stable increment sum became NaN")
+    d_path = np.concatenate(segments) if len(segments) > 1 else segments[0]
+    k = np.searchsorted(d_path, targets, side="right")
+    return (k + 1).astype(float) * step
+
+
+def first_passage_both(beta, targets, step, seed, max_steps=10 ** 8):
+    """(lazy, eager) outcomes from equal streams: the clock values, or the
+    exception type, and the next draw of each stream."""
+    out = []
+    for fn in (_first_passage, eager_first_passage):
+        rng = seed.rng()
+        try:
+            value = fn(beta, targets, step, rng, max_steps)
+        except ResourceCapError as exc:
+            value = type(exc)
+        out.append((value, rng.random()))
+    return out
+
+
+class TestLazyFirstPassage:
+    TARGETS = np.array([0.5, 1.0, 3.0, 10.0])
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("default_step", [False, True])
+    def test_bitwise_equal_to_eager(self, beta, default_step):
+        t_max = float(self.TARGETS[-1])
+        step = _auto_step(beta, t_max) if default_step else _auto_step(beta, t_max, 700)
+        for i in range(8):
+            (lazy, lazy_next), (eager, eager_next) = first_passage_both(
+                beta, self.TARGETS, step, Seed(404, i))
+            assert lazy.tobytes() == eager.tobytes()
+            assert lazy_next == eager_next  # same draws consumed
+
+    def test_bitwise_equal_across_chunks(self):
+        # beta = 0.1: the passage count has a heavy right tail, and some of
+        # these seeds overrun the first chunk of twice its mean
+        beta, step = 0.1, _auto_step(0.1, 10.0, 2000)
+        expected = int(10.0 ** beta / math.gamma(1.0 + beta) / step)
+        chunk = max(1024, 2 * expected)
+        multi = 0
+        for i in range(40):
+            (lazy, lazy_next), (eager, eager_next) = first_passage_both(
+                beta, self.TARGETS, step, Seed(405, i))
+            assert lazy.tobytes() == eager.tobytes()
+            assert lazy_next == eager_next
+            multi += lazy[-1] / step - 1 >= chunk
+        assert multi >= 1
+
+    def test_resource_cap_where_eager_raises(self):
+        beta, step = 0.5, _auto_step(0.5, 10.0, 1000)
+        outcomes = set()
+        for i in range(40):
+            (lazy, _), (eager, _) = first_passage_both(
+                beta, self.TARGETS, step, Seed(406, i), max_steps=1500)
+            if eager is ResourceCapError:
+                assert lazy is ResourceCapError
+            else:
+                assert lazy.tobytes() == eager.tobytes()
+            outcomes.add(eager is ResourceCapError)
+        assert outcomes == {True, False}
 
 
 class TestGammaPath:
