@@ -41,8 +41,9 @@ THEORETICAL_EXPONENTS = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    # np.float64 subclasses float, but its repr is "np.float64(...)" in numpy 2
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 

@@ -53,6 +53,8 @@ DEFAULT_MAX_STEPS = 20_000_000
 # call overhead of a few hundred transforms, and on average half of the one
 # in which passage falls is wasted
 MIN_PASSAGE_BLOCK = 512
+# the largest mean numpy's Poisson sampler accepts
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,11 @@ def _first_passage(beta: float, targets: np.ndarray, step: float,
     expected = max(16, int(t_max ** beta / math.exp(math.lgamma(1.0 + beta)) / step))
     chunk = int(min(max(1024, 2 * expected), 2 ** 20))
     block = max(MIN_PASSAGE_BLOCK, chunk // 8)
-    scale = step ** (1.0 / beta)
+    try:
+        scale = step ** (1.0 / beta)
+    except OverflowError:
+        raise NumericalError(
+            f"stable_step={step} overflows step^(1/beta); decrease it") from None
     if scale == 0.0:
         raise NumericalError(f"stable_step={step} underflows step^(1/beta); increase it")
     segments = []
@@ -253,7 +259,11 @@ def _first_passage(beta: float, targets: np.ndarray, step: float,
                     break
     d_path = np.concatenate(segments) if len(segments) > 1 else segments[0]
     k = np.searchsorted(d_path, targets, side="right")
-    return (k + 1).astype(float) * step
+    out = (k + 1).astype(float) * step
+    if not math.isfinite(out[-1]):  # the largest time, since targets are sorted
+        raise NumericalError(f"first-passage times overflowed at stable_step={step}; "
+                             "decrease it")
+    return out
 
 
 def _inverse_stable_values(beta: float, targets: np.ndarray, step: Optional[float],
@@ -308,10 +318,19 @@ def sample_poisson_count(mu: float, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 def _poisson_compose(lam: float, clock: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Counts of a rate-lam Poisson process evaluated at nondecreasing clock times."""
+    """Counts of a rate-lam Poisson process evaluated at nondecreasing clock times.
+
+    The last clock time bounds every increment and the mean of the final
+    count, so one check on it rejects an overflowed (inf or nan) clock before
+    ``np.diff`` turns inf - inf into a warning, and any mean numpy's sampler
+    or the int64 count would not hold.
+    """
+    mean_total = lam * clock[-1]
+    if not mean_total <= _POISSON_MEAN_MAX:
+        raise NumericalError(f"Poisson mean lam*clock={mean_total:g} exceeds the sampler's "
+                             f"limit {_POISSON_MEAN_MAX:g}; decrease stable_step or the "
+                             "time scale")
     dt = np.diff(np.concatenate(([0.0], clock)))
-    if np.any(~np.isfinite(dt)):
-        raise NumericalError("clock increments overflowed; decrease stable_step")
     return np.cumsum(rng.poisson(lam * dt)).astype(float)
 
 

@@ -8,6 +8,7 @@ run live.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fpp_increment_variance, fpp_mean, fpp_variance,
                               nb_pmf)
 from fracdep.errors import DomainError
-from fracdep.specfun import adaptive_quad, power_diff
+from fracdep.specfun import adaptive_quad, inc_beta, power_diff
 
 # mpmath oracle values (dps=40)
 FPP_VAR_05_1_T1 = 1.8551396223603498877
@@ -238,6 +239,25 @@ class TestFpnCovariance:
         with pytest.raises(DomainError):
             fpn_covariance(noise, 1.0, 1.5)
 
+    @pytest.mark.parametrize("beta", (0.1, 0.25, 0.5, 0.7435199433909901, 0.9, 0.95))
+    def test_mpmath_oracle_up_to_t_1e6(self, beta):
+        # the large-t covariance (order t^(b-2)) is far smaller than either
+        # of the terms it used to be the difference of
+        noise = NoiseParams(FppParams(beta, 1.0), 1.0)
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            q = 1 / mpmath.gamma(1 + b)
+
+            def gap(u):
+                return (u + 1) ** b - u ** b
+
+            for t in (2.0, 10.0, 1e3, 68129.0, 3e5, 1e6):
+                g_t = gap(mpmath.mpf(t))
+                oracle = q * q * b * mpmath.quad(
+                    lambda r: r ** (b - 1) * (gap(mpmath.mpf(t) - r) - g_t), [1, 2])
+                assert fpn_covariance(noise, 1.0, t) == pytest.approx(
+                    float(oracle), rel=1e-8, abs=0.0)
+
 
 class TestFpnVariance:
     def test_at_zero_equals_point_variance(self, half):
@@ -304,6 +324,47 @@ class TestDeltaStatistic:
     def test_validation(self, half):
         with pytest.raises(DomainError):
             delta_statistic(half, 0, 10)
+
+
+def _delta_by_direct_sum(params, n, m):
+    """Delta_n^(m) with the O(m) denominator it had before the series tail:
+    every unit window j = (n-1)m+1 .. nm is evaluated and summed."""
+    b, q = params.beta, params.q
+    lo, hi = (n - 1) * m, n * m
+    numerator = fpp_increment_variance(params, float(lo), float(hi))
+    j = np.arange(lo + 1, hi + 1, dtype=float)
+    fact = 2.0 * b * q * q * j ** (2.0 * b) * inc_beta(1.0 + b, b, 1.0 / j)
+    gap = q * power_diff(j, b)
+    denominator = float(np.sum(fact + gap - gap * gap))
+    return numerator / denominator
+
+
+class TestDeltaSeriesTail:
+    """Past j = 512 the denominator is a 1/j series summed by Euler-Maclaurin;
+    it must match the direct sum of the unit-window variances."""
+
+    BETAS = (0.01, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.999)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("n", (1, 2, 3, 10, 1000))
+    def test_matches_direct_sum(self, beta, n):
+        p = FppParams(beta, 1.0)
+        for m in (1, 2, 10, 100, 511, 512, 513, 1000, 10_000, 100_000):
+            fast = delta_statistic(p, n, m)
+            assert type(fast) is float
+            assert fast == pytest.approx(_delta_by_direct_sum(p, n, m),
+                                         rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_direct_sum_at_m_1e6(self, beta):
+        p = FppParams(beta, 1.0)
+        for n in ((1, 2, 1000) if beta in (0.2, 0.5) else (2,)):
+            assert delta_statistic(p, n, 10 ** 6) == pytest.approx(
+                _delta_by_direct_sum(p, n, 10 ** 6), rel=1e-12, abs=0.0)
+
+    def test_poisson_stays_exactly_one(self, poisson2):
+        for m in (1, 513, 10 ** 6):
+            assert delta_statistic(poisson2, 2, m) == 1.0
 
 
 class TestNbPmf:

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracdep.cli import main, parse_grid
+from fracdep import cli
+from fracdep.cli import _fmt, main, parse_grid
 from fracdep.errors import DomainError
 
 
@@ -185,6 +187,23 @@ class TestClassify:
         assert code == 2
 
 
+class TestFormat:
+    def test_numpy_scalars_print_as_floats(self):
+        assert _fmt(np.float64(49.46)) == "49.46" == _fmt(49.46)
+        assert _fmt(np.float32(0.5)) == "0.5"
+        assert _fmt(7) == "7"
+
+    def test_numpy_scalar_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.analytic, "delta_statistic", lambda *a: np.float64(1.25))
+        monkeypatch.setattr(cli.analytic, "delta_limit_bound", lambda *a: np.float64(0.5))
+        code, out, _ = run_cli(capsys, "delta", "--beta", "0.5", "--lambda", "1",
+                               "--n", "2", "--m", "10")
+        assert code == 0
+        assert "np." not in out
+        assert data_rows(out)[1] == "10,1.25"
+        assert "=0.5" in out.splitlines()[-1]
+
+
 class TestDelta:
     def test_poisson_column_of_ones(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "--beta", "1", "--lambda", "2",
@@ -256,6 +275,36 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--reps" in err
+
+    def test_huge_step_exit_3(self, capsys):
+        # step^(1/beta) overflows a float: 1e200^10
+        code, out, err = run_cli(capsys, "simulate", "--process", "fpp",
+                                 "--beta", "0.1", "--lambda", "1",
+                                 "--t-grid", "1,2", "--reps", "1",
+                                 "--stable-step", "1e200")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error:")
+
+    @pytest.mark.parametrize("process,step,alpha", [
+        ("fpp", "inf", "1"), ("inv_stable", "inf", "1"), ("fnbp", "inf", "1"),
+        ("fpp", "1e150", "1"),        # finite clock, Poisson mean past numpy's limit
+        ("nb", "0.01", "1e-310"),     # gamma clock of scale 1/alpha = inf
+        ("nb", "0.01", "1e-300"),     # finite gamma clock, Poisson mean too large
+    ])
+    def test_overflowing_clock_exit_3_without_warning(self, capsys, process, step,
+                                                      alpha):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "simulate", "--process", process,
+                                     "--beta", "0.5", "--lambda", "1",
+                                     "--alpha", alpha, "--p", "1",
+                                     "--t-grid", "1,2", "--reps", "1",
+                                     "--stable-step", step)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_json_shape(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--process", "gamma",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdep import specfun
 from fracdep.errors import ConvergenceError, DomainError
 from fracdep.specfun import (QuadConfig, adaptive_quad, beta_fn,
                              gamma_frac_moment, gen_binom, inc_beta,
@@ -143,6 +144,105 @@ class TestAdaptiveQuad:
             QuadConfig(max_depth=0)
         with pytest.raises(DomainError):
             adaptive_quad(lambda u: u, 1.0, 1.0)
+
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _adaptive_quad_reference(f, a, b, cfg=QuadConfig()):
+    """adaptive_quad as it was before its node tables were cached: every
+    call recomputes sinh, cosh, exp and the sigmoids on the tau grid."""
+    a = float(a)
+    b = float(b)
+    width = b - a
+    t_max = 6.11
+
+    def _sum(tau):
+        u = 0.5 * math.pi * np.sinh(tau)
+        off_lo = width * _sigmoid_reference(2.0 * u)
+        off_hi = width * _sigmoid_reference(-2.0 * u)
+        e = np.exp(-2.0 * np.abs(u))
+        weight = 2.0 * width * e / (1.0 + e) ** 2 * 0.5 * math.pi * np.cosh(tau)
+        keep = (off_lo > 0.0) & (off_hi > 0.0) & (weight > 0.0)
+        if not np.any(keep):
+            return 0.0
+        x = np.where(u < 0, a + off_lo, b - off_hi)[keep]
+        w = weight[keep]
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(x), dtype=float) * w
+        bad = ~np.isfinite(vals)
+        if np.any(bad & (w > 1e-250)):
+            return math.nan
+        vals[bad] = 0.0
+        return float(np.sum(vals))
+
+    h = 1.0
+    n0 = int(t_max / h)
+    total = _sum(np.arange(-n0, n0 + 1) * h) * h
+    prev = math.inf
+    for level in range(1, cfg.max_depth + 1):
+        h *= 0.5
+        j_max = int(t_max / h)
+        odd = np.arange(1, j_max + 1, 2)
+        tau = np.concatenate((-odd[::-1], odd)) * h
+        total = 0.5 * total + _sum(tau) * h
+        err = abs(total - prev)
+        prev = total
+        if level >= 2 and math.isfinite(total) and \
+                err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
+            return total
+    raise ConvergenceError(
+        f"quadrature did not converge within max_depth={cfg.max_depth} "
+        f"(last increment {err:g})")
+
+
+def _outcome(quad, f, a, b, cfg):
+    try:
+        return quad(f, a, b, cfg)
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
+class TestCachedQuadNodes:
+    """adaptive_quad reads its tanh-sinh factors from cached per-level
+    tables; every result must keep the bits of the uncached rule."""
+
+    CONFIGS = [QuadConfig(), QuadConfig(rel_tol=1e-12, abs_tol=1e-300, max_depth=14),
+               QuadConfig(rel_tol=1e-6, abs_tol=0.0, max_depth=4)]
+    INTEGRANDS = [
+        (lambda u: u ** -0.5, 0.0, 1.0),
+        (lambda u: u ** -0.9, 0.0, 1.0),
+        (lambda u: np.exp(-u) * u ** -0.3, 0.0, 3.0),
+        (np.sin, 0.3, 7.0),
+        (lambda u: np.abs(u - 0.37) ** 0.5, -2.0, 5.0),
+        (lambda r: r ** -0.7 * ((1e6 - r + 1.0) ** 0.3 - (1e6 - r) ** 0.3), 1.0, 2.0),
+        (lambda u: 1.0 / u, 0.0, 1.0),  # does not converge
+        (lambda u: u ** 2, 1e6, 1e6 + 1e-3),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("case", range(len(INTEGRANDS)))
+    def test_bitwise_equal_to_uncached_rule(self, cfg, case):
+        f, a, b = self.INTEGRANDS[case]
+        want = _outcome(_adaptive_quad_reference, f, a, b, cfg)
+        for _ in range(2):  # the second call reads the warm cache
+            got = _outcome(adaptive_quad, f, a, b, cfg)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_tables_are_read_only(self):
+        adaptive_quad(np.cos, 0.0, 1.0)
+        for table in specfun._NODE_TABLES.values():
+            for arr in table:
+                assert not arr.flags.writeable
 
 
 class TestGammaFracMoment:
