@@ -47,7 +47,7 @@ __all__ = [
     "nb_pmf", "fnbp_mean", "fnbp_variance", "fnbp_covariance",
     "fnbp_correlation", "fnbp_theoretical_exponent",
     "fnbn_asymptotics", "fnbn_correlation_asymptotic",
-    "fnbn_theoretical_exponent",
+    "fnbn_theoretical_exponent", "COV_QUAD", "THEORETICAL_EXPONENTS",
 ]
 
 LRD = "LRD"
@@ -242,22 +242,9 @@ def fpp_increment_factorial_moment(params: FppParams, s: float, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _mean_gap(beta: float, s, t):
-    """t^beta - s^beta for 0 <= s <= t, stable when t - s << s. Vectorized."""
-    sa = np.asarray(s, dtype=float)
-    ta = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            sa == 0.0,
-            ta ** beta,
-            sa ** beta * np.expm1(beta * np.log1p((ta - sa) / np.where(sa == 0, 1.0, sa))),
-        )
-    return float(out) if out.ndim == 0 else out
-
-
 def fpp_increment_variance(params: FppParams, s: float, t: float):
     """Var[N_b(t) - N_b(s)] via the factorial moment and the mean gap."""
-    gap = params.q * _mean_gap(params.beta, s, t)
+    gap = params.q * power_gap(s, t - s, params.beta)
     fact = fpp_increment_factorial_moment(params, s, t)
     return fact + gap - gap * gap
 
@@ -522,11 +509,12 @@ def _beta_mixture_expectation(params: FnbpParams, s: float, t: float,
     return adaptive_quad(integrand, 0.0, 1.0, cfg)
 
 
-_COV_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-300, max_depth=14)
+# tolerances of the FNBP covariance quadrature
+COV_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-300, max_depth=14)
 
 
 def fnbp_covariance(params: FnbpParams, s: float, t: float,
-                    cfg: QuadConfig = _COV_QUAD) -> float:
+                    cfg: QuadConfig = COV_QUAD) -> float:
     """Cov[Q_b(s), Q_b(t)] for 0 < s <= t (arguments symmetrized).
 
     q E[Y^b(s)] + d E[Y^{2b}(s)] - q^2 E[Y^b(s)] E[Y^b(t)]
@@ -552,7 +540,7 @@ def fnbp_covariance(params: FnbpParams, s: float, t: float,
 
 
 def fnbp_correlation(params: FnbpParams, s: float, t: float,
-                     cfg: QuadConfig = _COV_QUAD) -> float:
+                     cfg: QuadConfig = COV_QUAD) -> float:
     """Corr[Q_b(s), Q_b(t)]; decays like t^{-b} (LRD for 0 < b < 1)."""
     s = _check_time("s", s, allow_zero=False)
     t = _check_time("t", t, allow_zero=False)
@@ -615,3 +603,13 @@ def fnbn_correlation_asymptotic(noise: NoiseParams, s: float, t: float) -> float
 def fnbn_theoretical_exponent(beta: float) -> float:
     """FNBN correlation decay exponent (3 - beta)/2 in (1, 1.5): SRD."""
     return 0.5 * (3.0 - beta)
+
+
+# claimed correlation decay exponent per process, as a function of beta; the
+# FPP correlation decays like t^-beta, as the FNBP's does
+THEORETICAL_EXPONENTS = {
+    "fpp": fnbp_theoretical_exponent,
+    "fpn": fpn_theoretical_exponent,
+    "fnbp": fnbp_theoretical_exponent,
+    "fnbn": fnbn_theoretical_exponent,
+}

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,19 +26,11 @@ from .errors import (ConvergenceError, DomainError, GridError, NumericalError,
                      ResourceCapError)
 from .estimate import (CorrelationCurve, analytic_curve, delta_empirical,
                        fit_power_law, mc_correlation)
-from .sim import PathSpec, Seed, sample_process_path
-from .specfun import QuadConfig
+from .sim import PROCESSES, PathSpec, Seed, sample_process_path
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-THEORETICAL_EXPONENTS = {
-    "fpp": analytic.fnbp_theoretical_exponent,   # FPP correlation decays like t^-beta
-    "fpn": analytic.fpn_theoretical_exponent,
-    "fnbp": analytic.fnbp_theoretical_exponent,
-    "fnbn": analytic.fnbn_theoretical_exponent,
-}
 
 
 def _fmt(v) -> str:
@@ -126,10 +119,29 @@ def _fpp_params(args) -> FppParams:
     return FppParams(beta=args.beta, lam=args.lam)
 
 
-def _fnbp_params(args) -> FnbpParams:
+def _gamma_params(args) -> GammaParams:
     if args.alpha is None or args.p is None:
-        raise DomainError("--alpha and --p are required for gamma-subordinated processes")
-    return FnbpParams(fpp=_fpp_params(args), gamma=GammaParams(alpha=args.alpha, p=args.p))
+        raise DomainError(f"--alpha and --p are required for --process {args.process}")
+    return GammaParams(alpha=args.alpha, p=args.p)
+
+
+def _fnbp_params(args) -> FnbpParams:
+    gamma = _gamma_params(args)  # checked before the FPP flags
+    return FnbpParams(fpp=_fpp_params(args), gamma=gamma)
+
+
+# --process: (parameter builder, simulated process); the increment kinds
+# fpn and fnbn are read off paths of the fpp and the fnbp
+_KINDS = {
+    "poisson": (_fpp_params, "poisson"),
+    "inv_stable": (_fpp_params, "inv_stable"),
+    "fpp": (_fpp_params, "fpp"),
+    "fpn": (_fpp_params, "fpp"),
+    "gamma": (_gamma_params, "gamma"),
+    "nb": (_fnbp_params, "nb"),
+    "fnbp": (_fnbp_params, "fnbp"),
+    "fnbn": (_fnbp_params, "fnbp"),
+}
 
 
 def _needs_delta(args) -> float:
@@ -151,20 +163,8 @@ def _meta(args, **extra) -> dict:
 
 
 def _build_path_spec(args, kind: str, t_grid: np.ndarray) -> PathSpec:
-    if kind in ("fpp", "fpn", "poisson", "inv_stable"):
-        params = _fpp_params(args)
-        process = "fpp" if kind in ("fpp", "fpn") else kind
-    elif kind in ("fnbp", "fnbn", "nb"):
-        params = _fnbp_params(args)
-        process = "fnbp" if kind in ("fnbp", "fnbn") else kind
-    elif kind == "gamma":
-        if args.alpha is None or args.p is None:
-            raise DomainError("--alpha and --p are required for the gamma process")
-        params = GammaParams(alpha=args.alpha, p=args.p)
-        process = kind
-    else:
-        raise DomainError(f"unknown process {kind!r}")
-    return PathSpec(process, params, t_grid, stable_step=args.stable_step)
+    build, process = _KINDS[kind]
+    return PathSpec(process, build(args), t_grid, stable_step=args.stable_step)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +190,14 @@ def cmd_moments(args) -> int:
 def _make_curve(args) -> CorrelationCurve:
     t_grid = parse_grid(args.t_grid)
     kind = args.process
+    if kind is None:
+        raise DomainError("--process is required unless --in is given")
     if args.s is None:
         raise DomainError("--s is required for correlation curves")
     delta = _needs_delta(args) if kind in ("fpn", "fnbn") else None
     if args.mode == "analytic":
-        if kind in ("fpp", "fpn"):
-            params = _fpp_params(args)
-        else:
-            params = _fnbp_params(args)
-        cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=1e-300, max_depth=14)
+        params = _KINDS[kind][0](args)
+        cfg = replace(analytic.COV_QUAD, rel_tol=args.rel_tol)
         return analytic_curve(kind, params, args.s, t_grid, delta=delta, cfg=cfg)
     spec = _build_path_spec(args, kind, t_grid)
     return mc_correlation(spec, args.s, t_grid, reps=args.reps,
@@ -269,8 +268,8 @@ def cmd_classify(args) -> int:
     cols = ["d_hat", "c_hat", "r_squared", "label", "n_points"]
     row = [fit.d_hat, fit.c_hat, fit.r_squared, fit.label, fit.n_points]
     process = getattr(args, "process", None)
-    if process in THEORETICAL_EXPONENTS and args.beta is not None:
-        theo = THEORETICAL_EXPONENTS[process](args.beta)
+    if process in analytic.THEORETICAL_EXPONENTS and args.beta is not None:
+        theo = analytic.THEORETICAL_EXPONENTS[process](args.beta)
         cols += ["theoretical_exponent", "abs_error"]
         row += [theo, abs(fit.d_hat - theo)]
     _emit(args, _meta(args), cols, [tuple(row)])
@@ -382,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_delta)
 
     sp = sub.add_parser("simulate", help="dump seeded sample paths as CSV")
-    sp.add_argument("--process",
-                    choices=("poisson", "gamma", "inv_stable", "fpp", "nb", "fnbp"),
-                    required=True)
+    sp.add_argument("--process", choices=PROCESSES, required=True)
     _add_common(sp, grids=("t_grid",), needs_reps=True)
     sp.set_defaults(func=cmd_simulate)
     return ap

@@ -4,7 +4,8 @@ Replications are embarrassingly parallel: replication i always draws from
 Seed(root, stream=i) and lands in slot i of a preallocated array, so the
 aggregated results are byte-identical for any thread count.  Standard
 errors of nonlinear statistics (correlations, variance ratios) come from a
-seeded nonparametric bootstrap over replications.
+seeded nonparametric bootstrap over replications; both estimators weight
+the replications by the same resample counts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import DomainError, NumericalError
 # fracdep.estimate.increment_path
 from .sim import (PathSpec, SamplePath, Seed, _increment_pairs,  # noqa: F401
                   increment_path, sample_process_path)
+from .specfun import QuadConfig
 
 __all__ = [
     "BOOTSTRAP_RESAMPLES",
@@ -106,10 +108,10 @@ def default_fit_cutoff(s: float, delta: Optional[float]) -> float:
 
 def analytic_curve(kind: str, params, s: float, t_grid,
                    delta: Optional[float] = None,
-                   cfg=None) -> CorrelationCurve:
+                   cfg: QuadConfig = analytic.COV_QUAD) -> CorrelationCurve:
     """Exact (fpp, fnbp) or model (fpn, fnbn) correlation over a t grid.
 
-    ``cfg`` overrides the quadrature tolerances of the FNBP covariance.
+    ``cfg`` sets the quadrature tolerances of the FNBP covariance.
     """
     t = np.asarray(t_grid, dtype=float)
     if kind == "fpp":
@@ -125,9 +127,7 @@ def analytic_curve(kind: str, params, s: float, t_grid,
     elif kind == "fnbp":
         if not isinstance(params, FnbpParams):
             raise DomainError("fnbp curve needs FnbpParams")
-        kw = {"cfg": cfg} if cfg is not None else {}
-        corr = np.array([analytic.fnbp_correlation(params, s, ti, **kw)
-                         for ti in t])
+        corr = np.array([analytic.fnbp_correlation(params, s, ti, cfg) for ti in t])
     elif kind == "fnbn":
         noise = NoiseParams(params, delta)
         corr = np.array([analytic.fnbn_correlation_asymptotic(noise, s, ti)
@@ -163,21 +163,52 @@ def _run_replications(spec: PathSpec, reps: int, seed: Seed, threads: int,
             f.result()
 
 
-def _corr_columns(xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Pearson correlation of xs against every column of xt."""
-    xs_c = xs - xs.mean()
-    xt_c = xt - xt.mean(axis=0)
-    num = xs_c @ xt_c
-    den = math.sqrt(float(xs_c @ xs_c)) * np.sqrt(np.sum(xt_c * xt_c, axis=0))
+def _bootstrap_counts(seed: Seed, reps: int, bootstrap: int) -> np.ndarray:
+    """counts[b, i]: how often bootstrap resample b takes replication i.
+
+    Each resample is ``reps`` uniform draws from the stream
+    ``seed.rng(0xB007)``; every row sums to ``reps``.
+    """
+    boot_rng = seed.rng(0xB007)
+    counts = np.empty((bootstrap, reps))
+    for b in range(bootstrap):
+        counts[b] = np.bincount(boot_rng.integers(0, reps, reps), minlength=reps)
+    return counts
+
+
+def _weighted_corr(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pearson correlation of column 0 of x against each later column, in
+    the sample that takes replication i counts[b, i] times, for every row b
+    of ``counts`` (each row sums to the number of replications R), from the
+    count-weighted sums as (R S_xy - S_x S_y) / sqrt((R S_xx - S_x^2)
+    (R S_yy - S_y^2)).
+
+    Columns are first shifted by their mean, rounded for integer columns:
+    real values then lose no digits to the offset, and integer sums stay
+    exact below 2^53, so a resample in which a column is constant has
+    exactly zero variance.  Such a resample gives NaN.
+    """
+    shift = x.mean(axis=0)
+    x = x - np.where(np.all(x == np.round(x), axis=0), np.round(shift), shift)
+    reps = x.shape[0]
+    s1 = counts @ x
+    var = reps * (counts @ (x * x)) - s1 * s1
+    cov = reps * (counts @ (x[:, :1] * x[:, 1:])) - s1[:, :1] * s1[:, 1:]
+    den = var[:, :1] * var[:, 1:]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return num / den
+        return np.where(den > 0, cov / np.sqrt(den), math.nan)
 
 
 def mc_correlation(spec: PathSpec, s: float, t_grid, reps: int, seed: Seed,
                    delta: Optional[float] = None, threads: int = 0,
                    bootstrap: int = BOOTSTRAP_RESAMPLES) -> CorrelationCurve:
     """Sample correlation between X(s) and X(t) (or their width-delta
-    increments) across replications, with bootstrap standard errors."""
+    increments) across replications, with bootstrap standard errors.
+
+    Raises :class:`NumericalError`, naming the time, when X has no variance
+    across the replications at s or at any t.  Resamples in which one has no
+    variance are left out of that time's standard error.
+    """
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps}")
     t = np.asarray(t_grid, dtype=float)
@@ -209,18 +240,13 @@ def mc_correlation(spec: PathSpec, s: float, t_grid, reps: int, seed: Seed,
     out = np.empty((reps, len(t) + 1))
     _run_replications(sim_spec, reps, seed, threads, out, extract)
 
-    xs = out[:, 0]
-    xt = out[:, 1:]
-    if float(np.var(xs)) == 0.0:
+    flat = np.flatnonzero(np.ptp(out, axis=0) == 0.0)
+    if len(flat):
+        at = f"s={s}" if flat[0] == 0 else f"t={t[flat[0] - 1]}"
         raise NumericalError(
-            f"degenerate sample: X(s={s}) has zero variance across {reps} replications")
-    corr = _corr_columns(xs, xt)
-
-    boot_rng = seed.rng(0xB007)
-    boot = np.empty((bootstrap, len(t)))
-    for b in range(bootstrap):
-        idx = boot_rng.integers(0, reps, reps)
-        boot[b] = _corr_columns(xs[idx], xt[idx])
+            f"degenerate sample: X({at}) has zero variance across {reps} replications")
+    corr = _weighted_corr(np.ones((1, reps)), out)[0]
+    boot = _weighted_corr(_bootstrap_counts(seed, reps, bootstrap), out)
     std_error = np.nanstd(boot, axis=0, ddof=1)
 
     return CorrelationCurve(s=s, delta=delta, t=t, corr=corr,
@@ -277,7 +303,7 @@ def fit_power_law(curve: CorrelationCurve,
     usable = mask & np.isfinite(acorr) & (acorr > floor)
     if not np.any(mask):
         raise DomainError(f"no points at or beyond t_min_cutoff={t_min_cutoff}")
-    if np.any(mask) and not np.any(usable & mask):
+    if not np.any(usable):
         raise DomainError("all points beyond the cutoff are below the fit floor")
     n = int(np.sum(usable))
     if n < 5:
@@ -355,10 +381,7 @@ def delta_empirical(params: FppParams, n: int, m_values: Sequence[int],
                       lambda path: np.diff(np.concatenate(([0.0], path.values))))
 
     value = _weighted_block_ratios(np.ones((1, reps)), incs, n, m_arr)[0]
-    boot_rng = seed.rng(0xB007)
-    counts = np.empty((bootstrap, reps))
-    for b in range(bootstrap):
-        counts[b] = np.bincount(boot_rng.integers(0, reps, reps), minlength=reps)
+    counts = _bootstrap_counts(seed, reps, bootstrap)
     std_error = np.nanstd(_weighted_block_ratios(counts, incs, n, m_arr),
                           axis=0, ddof=1)
     return DeltaTable(n=n, m=m_arr, value=value, std_error=std_error,

@@ -5,8 +5,8 @@ an inverse-stable clock, N_b(t) = N(E_b(t)); the FNBP additionally runs
 that clock on a gamma subordinator, Q_b(t) = N_b(Y(t)).  The inverse
 stable clock is generated by first passage of a discretized stable
 subordinator, which is the faithful construction for joint (multi-time)
-laws; a bias-free marginal sampler (t/S)^b is kept separately for
-single-time validation.
+laws.  Without an explicit ``stable_step`` the step is chosen from the last
+clock target, for the FPP and the FNBP alike.
 
 Draw order within a replication is fixed (gamma clock, then stable chunks,
 then Poisson thinning), so a (root, stream) pair reproduces a path
@@ -34,10 +34,8 @@ __all__ = [
     "SamplePath",
     "PathSpec",
     "sample_positive_stable",
-    "sample_inverse_stable_marginal",
     "sample_inverse_stable_path",
     "sample_gamma_path",
-    "sample_poisson_count",
     "sample_process_path",
     "increment_path",
 ]
@@ -180,28 +178,6 @@ def sample_positive_stable(beta: float, rng: np.random.Generator, size=None):
     return float(s[0]) if scalar else s
 
 
-def sample_inverse_stable_marginal(beta: float, t: float,
-                                   rng: np.random.Generator, size=None):
-    """Single-time draw of the inverse stable clock: E_b(t) = (t/S)^b.
-
-    Bias-free marginal sampler; E[E_b(t)] = t^b / Gamma(1+b).  beta == 1 is
-    the degenerate clock E_1(t) = t.
-    """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    scalar = size is None
-    if beta == 1.0:
-        out = np.full(1 if scalar else size, float(t))
-        return float(out[0]) if scalar else out
-    if t == 0.0:
-        out = np.zeros(1 if scalar else size)
-        return float(out[0]) if scalar else out
-    s = sample_positive_stable(beta, rng, size=1 if scalar else size)
-    with np.errstate(divide="ignore"):
-        out = np.asarray(t / s, dtype=float) ** beta
-    return float(out[0]) if scalar else out
-
-
 def _auto_step(beta: float, t_char: float, target_steps: int = DEFAULT_TARGET_STEPS) -> float:
     """Step so the expected number of stable steps to exceed t_char is ~target."""
     return t_char ** beta / math.exp(math.lgamma(1.0 + beta)) / target_steps
@@ -273,7 +249,7 @@ def _inverse_stable_values(beta: float, targets: np.ndarray, step: Optional[floa
     if beta == 1.0:
         return targets
     if step is None:
-        step = _auto_step(beta, float(targets[-1]))
+        step = _auto_step(beta, max(float(targets[-1]), 1e-300))
     return _first_passage(beta, targets, step, rng, max_steps)
 
 
@@ -304,13 +280,6 @@ def sample_gamma_path(gamma: GammaParams, t_grid, rng: np.random.Generator) -> S
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("t_grid must be strictly increasing and positive")
     return SamplePath(grid, _gamma_values(gamma, grid, rng))
-
-
-def sample_poisson_count(mu: float, rng: np.random.Generator) -> int:
-    """One Poisson draw with mean mu = rate * duration >= 0."""
-    if not (mu >= 0.0) or not math.isfinite(mu):
-        raise DomainError(f"rate*duration must be finite and >= 0, got {mu}")
-    return int(rng.poisson(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +327,8 @@ def sample_process_path(spec: PathSpec, seed: Seed) -> SamplePath:
     elif kind == "fnbp":
         fpp = params.fpp
         y = _gamma_values(params.gamma, grid, rng)
-        step = spec.stable_step
-        if step is None and fpp.beta != 1.0:
-            step = _auto_step(fpp.beta, float(max(y[-1], 1e-300)))
-        lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, step, rng,
-                                                     spec.max_steps)
+        lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, spec.stable_step,
+                                                     rng, spec.max_steps)
     else:
         raise DomainError(f"unknown process {kind!r}")
     return SamplePath(grid, _poisson_compose(lam, clock, rng))

@@ -23,15 +23,12 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "QuadConfig",
     "DEFAULT_QUAD",
-    "log_gamma",
     "beta_fn",
     "inc_beta",
-    "inc_beta_tail",
     "adaptive_quad",
     "gamma_frac_moment",
     "power_diff",
     "power_gap",
-    "gen_binom",
 ]
 
 
@@ -67,12 +64,6 @@ def _require_positive(name: str, x: float) -> float:
     return x
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    x = _require_positive("x", x)
-    return float(sp.gammaln(x))
-
-
 def beta_fn(a: float, b: float) -> float:
     """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     a = _require_positive("a", a)
@@ -93,15 +84,6 @@ def inc_beta(a: float, b: float, x) -> float:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     out = sp.betainc(a, b, xa) * beta_fn(a, b)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
-def inc_beta_tail(a: float, b: float, y) -> float:
-    """Upper tail int_{1-y}^1 u^{a-1}(1-u)^{b-1} du, stable for small y.
-
-    Equal to B(a,b) - B(a,b;1-y) but computed without cancellation via the
-    reflection B(b,a;y).
-    """
-    return inc_beta(b, a, y)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -236,29 +218,17 @@ def power_diff(x, y):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def power_gap(u, delta: float, y: float):
-    """(u+delta)^y - u^y for u >= 0, delta > 0, stable when delta << u."""
+def power_gap(u, delta, y: float):
+    """(u+delta)^y - u^y for u >= 0 and finite delta >= 0, stable when
+    delta << u.  Vectorized in u and delta."""
     ua = np.asarray(u, dtype=float)
-    if np.any(ua < 0.0):
+    da = np.asarray(delta, dtype=float)
+    if (ua < 0.0).any():
         raise DomainError(f"u must be >= 0, got {u}")
-    delta = _require_positive("delta", delta)
+    if not ((da >= 0.0) & (da < math.inf)).all():
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    zero = ua == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            ua == 0.0,
-            delta ** y,
-            ua ** y * np.expm1(y * np.log1p(delta / np.where(ua == 0.0, 1.0, ua))),
-        )
-    return float(out) if np.isscalar(u) or ua.ndim == 0 else out
-
-
-def gen_binom(top: float, k: int) -> float:
-    """Binomial coefficient with real upper argument: Gamma(top+1)/(Gamma(k+1)Gamma(top-k+1))."""
-    top = float(top)
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
-    if top + 1.0 <= 0.0 or top - k + 1.0 <= 0.0:
-        raise DomainError(
-            f"gamma argument at a pole or nonpositive: top={top}, k={k}")
-    return math.exp(sp.gammaln(top + 1.0) - sp.gammaln(k + 1.0)
-                    - sp.gammaln(top - k + 1.0))
+        out = np.where(zero, da ** y,
+                       ua ** y * np.expm1(y * np.log1p(da / np.where(zero, 1.0, ua))))
+    return float(out) if out.ndim == 0 else out

@@ -286,6 +286,17 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("numerical error:")
 
+    def test_flat_empirical_column_exit_3(self, capsys):
+        # no replication sees an FPN event in [1e6, 1e6 + 1] at beta = 0.1
+        code, out, err = run_cli(capsys, "corr", "--process", "fpn",
+                                 "--mode", "empirical", "--beta", "0.1",
+                                 "--lambda", "1", "--delta", "1", "--s", "1",
+                                 "--t-grid", "1e6", "--reps", "100", "--seed", "3")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "X(t=1000000.0) has zero variance" in err
+
     @pytest.mark.parametrize("process,step,alpha", [
         ("fpp", "inf", "1"), ("inv_stable", "inf", "1"), ("fnbp", "inf", "1"),
         ("fpp", "1e150", "1"),        # finite clock, Poisson mean past numpy's limit

@@ -7,9 +7,10 @@ import pytest
 
 from fracdep.analytic import FnbpParams, FppParams, GammaParams, delta_statistic
 from fracdep.errors import DomainError, NumericalError
-from fracdep.estimate import (CorrelationCurve, _weighted_block_ratios, analytic_curve,
-                              default_fit_cutoff, delta_empirical, fit_power_law,
-                              mc_correlation, mc_marginal_moments)
+from fracdep.estimate import (CorrelationCurve, _bootstrap_counts, _weighted_block_ratios,
+                              _weighted_corr, analytic_curve, default_fit_cutoff,
+                              delta_empirical, fit_power_law, mc_correlation,
+                              mc_marginal_moments)
 from fracdep.sim import PathSpec, Seed, sample_process_path
 
 
@@ -183,6 +184,82 @@ class TestMcCorrelation:
         spec = PathSpec("poisson", FppParams(1.0, 1e-9), np.array([10.0]))
         with pytest.raises(NumericalError):
             mc_correlation(spec, 1e-6, np.array([10.0]), reps=200, seed=Seed(1))
+        # beta = 0.1: an event in [1e6, 1e6 + 1] has probability ~4e-7, so the
+        # increments at t are all zero while those at s vary
+        spec = PathSpec("fpp", FppParams(0.1, 1.0), np.array([1e6]))
+        with pytest.raises(NumericalError, match=r"X\(t=1000000\.0\)"):
+            mc_correlation(spec, 1.0, np.array([1e6]), reps=100, seed=Seed(3), delta=1.0)
+
+
+def corr_columns(xs, xt):
+    """Pearson correlation of xs against every column of xt: the estimator
+    mc_correlation used before its bootstrap was count-weighted, verbatim."""
+    xs_c = xs - xs.mean()
+    xt_c = xt - xt.mean(axis=0)
+    num = xs_c @ xt_c
+    den = math.sqrt(float(xs_c @ xs_c)) * np.sqrt(np.sum(xt_c * xt_c, axis=0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return num / den
+
+
+def loop_bootstrap(xs, xt, seed, bootstrap=200):
+    """Reference: one corr_columns call per resample of the replications."""
+    reps = len(xs)
+    boot_rng = seed.rng(0xB007)
+    boot = np.empty((bootstrap, xt.shape[1]))
+    for b in range(bootstrap):
+        idx = boot_rng.integers(0, reps, reps)
+        boot[b] = corr_columns(xs[idx], xt[idx])
+    return boot
+
+
+class TestCountWeightedCorrelation:
+    CASES = [
+        # integer counts (FPN increments), real-valued (gamma), and the FNBP
+        ("fpp", FppParams(0.5, 1.0), 1.0, 0.05),
+        ("gamma", GammaParams(2.0, 1.5), None, None),
+        ("fnbp", FnbpParams(FppParams(0.6, 1.0), GammaParams(1.0, 1.0)), None, 0.05),
+    ]
+
+    @pytest.mark.parametrize("process,params,delta,step", CASES)
+    def test_mc_correlation_matches_loop_bootstrap(self, process, params, delta, step):
+        s, t, reps, seed = 1.0, np.array([3.0, 6.0]), 300, Seed(71)
+        curve = mc_correlation(PathSpec(process, params, t, stable_step=step), s, t,
+                               reps, seed, delta=delta)
+        left = np.concatenate(([s], t))
+        grid = np.unique(left if delta is None else np.concatenate((left, left + delta)))
+        spec = PathSpec(process, params, grid, stable_step=step)
+        vals = np.array([sample_process_path(spec, seed.child(i)).values
+                         for i in range(reps)])
+        x = vals[:, np.searchsorted(grid, left)]
+        if delta is not None:
+            x = vals[:, np.searchsorted(grid, left + delta)] - x
+        assert curve.corr == pytest.approx(corr_columns(x[:, 0], x[:, 1:]),
+                                           rel=1e-12, abs=0)
+        boot = loop_bootstrap(x[:, 0], x[:, 1:], seed)
+        assert curve.std_error == pytest.approx(np.nanstd(boot, axis=0, ddof=1),
+                                                rel=1e-12, abs=0)
+
+    def test_sparse_column_resamples_are_nan_and_dropped(self):
+        # FPN-like: the last column has an event in 2 of 200 replications,
+        # so about e^-2 of the resamples see none and have no variance there
+        rng = np.random.default_rng(5)
+        reps, seed = 200, Seed(72)
+        xs = rng.poisson(1.0, reps).astype(float)
+        xt = np.column_stack((xs + rng.poisson(2.0, reps), np.zeros(reps)))
+        xt[[int(np.argmax(xs)), 7], 1] = 1.0
+        x = np.column_stack((xs, xt))
+        weighted = _weighted_corr(_bootstrap_counts(seed, reps, 200), x)
+        boot = loop_bootstrap(xs, xt, seed)
+        empty = np.isnan(boot[:, 1])
+        assert 5 <= np.sum(empty) <= 60
+        assert np.array_equal(np.isnan(weighted), np.isnan(boot))
+        assert weighted[~empty] == pytest.approx(boot[~empty], rel=1e-12, abs=0)
+        se = np.nanstd(weighted, axis=0, ddof=1)
+        assert se[1] == pytest.approx(np.std(boot[~empty, 1], ddof=1), rel=1e-12, abs=0)
+        assert se == pytest.approx(np.nanstd(boot, axis=0, ddof=1), rel=1e-12, abs=0)
+        point = _weighted_corr(np.ones((1, reps)), x)[0]
+        assert point == pytest.approx(corr_columns(xs, xt), rel=1e-12, abs=0)
 
 
 class TestMcMarginalMoments:

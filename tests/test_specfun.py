@@ -15,41 +15,10 @@ from hypothesis import strategies as st
 from fracdep import specfun
 from fracdep.errors import ConvergenceError, DomainError
 from fracdep.specfun import (QuadConfig, adaptive_quad, beta_fn,
-                             gamma_frac_moment, gen_binom, inc_beta,
-                             inc_beta_tail, log_gamma, power_diff, power_gap)
-
-# mpmath: mp.loggamma(x) at dps=40
-LOG_GAMMA_REF = [
-    (1e-3, 6.9071788853838536617),
-    (0.1, 2.252712651734205902),
-    (0.5, 0.57236494292470008707),
-    (1.5, -0.12078223763524522235),
-    (7.3, 7.1478925230222486921),
-    (123.456, 469.6055471299294835),
-    (9876.5, 80963.012445507255158),
-    (1e6, 12815504.56914761166),
-]
+                             gamma_frac_moment, inc_beta, power_diff, power_gap)
 
 # mpmath: mp.betainc(0.5, 1.5, 0, 0.3)
 INC_BETA_05_15_03 = 1.0378973098592882836
-
-
-class TestLogGamma:
-    def test_integers_vanish(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
-
-    @pytest.mark.parametrize("x,ref", LOG_GAMMA_REF)
-    def test_reference_grid(self, x, ref):
-        assert log_gamma(x) == pytest.approx(ref, rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
 
 
 class TestBetaFn:
@@ -100,8 +69,10 @@ class TestIncBeta:
             assert inc_beta(a, b, x) + tail == pytest.approx(beta_fn(a, b), rel=1e-10)
 
     def test_tail_matches_difference(self):
+        # the reflection B(b, a; y) = B(a, b) - B(a, b; 1 - y) gives the upper
+        # tail without cancellation (the FPP factorial moment relies on it)
         a, b, y = 0.5, 1.5, 1e-3
-        assert inc_beta_tail(a, b, y) == pytest.approx(
+        assert inc_beta(b, a, y) == pytest.approx(
             beta_fn(a, b) - inc_beta(a, b, 1.0 - y), rel=1e-9)
 
     def test_domain(self):
@@ -296,22 +267,46 @@ class TestPowerDiff:
             power_diff(0.5, 1.0)
 
 
-class TestGenBinom:
-    def test_choose_zero(self):
-        assert gen_binom(7.3, 0) == pytest.approx(1.0, rel=1e-14)
+def mean_gap(beta, s, t):
+    """t^beta - s^beta for 0 <= s <= t: the FPP mean-gap helper that
+    power_gap replaced, verbatim."""
+    sa = np.asarray(s, dtype=float)
+    ta = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(
+            sa == 0.0,
+            ta ** beta,
+            sa ** beta * np.expm1(beta * np.log1p((ta - sa) / np.where(sa == 0, 1.0, sa))),
+        )
+    return float(out) if out.ndim == 0 else out
 
-    def test_ordinary(self):
-        assert gen_binom(3.0, 2) == pytest.approx(3.0, rel=1e-13)
 
-    def test_real_upper(self):
-        # Gamma(3.5)/(Gamma(3) Gamma(1.5)) = 1.875 exactly
-        assert gen_binom(2.5, 2) == pytest.approx(1.875, rel=1e-13)
+class TestPowerGap:
+    S = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 91)))
 
-    def test_pole_raises(self):
+    @pytest.mark.parametrize("beta", [0.01, 0.3, 0.5, 0.9, 1.0])
+    def test_array_delta_bitwise_equal_to_mean_gap(self, beta):
+        s = self.S
+        wide = s + np.geomspace(1e-6, 1e8, len(s))
+        for t in (s, s + 1.0, s * (1.0 + 1e-9), wide, s + s[::-1]):
+            got = power_gap(s, t - s, beta)
+            assert got.tobytes() == mean_gap(beta, s, t).tobytes()
+        for si, ti in ((0.0, 0.0), (0.0, 2.5), (3.0, 3.0), (3.0, 4.0)):
+            got = power_gap(si, ti - si, beta)
+            assert type(got) is float
+            assert got == mean_gap(beta, si, ti)
+
+    def test_scalar_u_array_delta(self):
+        out = power_gap(9.0, np.array([0.0, 1.0, 7.0]), 0.5)
+        assert out.shape == (3,)
+        assert out[0] == 0.0
+        assert out[2] == pytest.approx(1.0, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("delta", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                       np.array([1.0, -2.0]), np.array([1.0, math.nan])])
+    def test_bad_delta_raises(self, delta):
         with pytest.raises(DomainError):
-            gen_binom(-1.5, 0)
-        with pytest.raises(DomainError):
-            gen_binom(2.0, 4)
+            power_gap(1.0, delta, 0.5)
 
 
 class TestInequalities:
