@@ -30,8 +30,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericalError
-from .specfun import (DEFAULT_QUAD, QuadConfig, adaptive_quad, beta_fn,
-                      gamma_frac_moment, inc_beta, power_diff, power_gap)
+from .specfun import (DEFAULT_QUAD, QuadConfig, _float_or_array, adaptive_quad,
+                      beta_fn, gamma_frac_moment, inc_beta, power_diff, power_gap)
 
 __all__ = [
     "LRD", "SRD", "UNCLASSIFIED",
@@ -239,7 +239,7 @@ def fpp_increment_factorial_moment(params: FppParams, s: float, t: float):
             0.0,
             2.0 * b * q * q * ta ** (2.0 * b) * inc_beta(1.0 + b, b, np.minimum(xc, 1.0)),
         )
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def fpp_increment_variance(params: FppParams, s: float, t: float):

@@ -1,11 +1,11 @@
 """Monte Carlo estimation, power-law exponent fitting, and LRD/SRD labels.
 
 Replications are embarrassingly parallel: replication i always draws from
-Seed(root, stream=i) and lands in slot i of a preallocated array, so the
-aggregated results are byte-identical for any thread count.  Standard
-errors of nonlinear statistics (correlations, variance ratios) come from a
-seeded nonparametric bootstrap over replications; both estimators weight
-the replications by the same resample counts.
+Seed(root, stream=i) and lands in row i of a replications x grid path
+matrix, so the aggregated results are byte-identical for any thread count.
+Standard errors of nonlinear statistics (correlations, variance ratios) come
+from a seeded nonparametric bootstrap over replications; both estimators
+weight the replications by the same resample counts.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .analytic import (FnbpParams, FppParams, NoiseParams, classify_exponent)
 from .errors import DomainError, NumericalError
 # increment_path is unused here but stays importable as
 # fracdep.estimate.increment_path
-from .sim import (PathSpec, SamplePath, Seed, _increment_pairs,  # noqa: F401
-                  increment_path, sample_process_path)
+from .sim import PathSpec, Seed, increment_path, sample_process_path  # noqa: F401
 from .specfun import QuadConfig
 
 __all__ = [
@@ -142,25 +141,28 @@ def analytic_curve(kind: str, params, s: float, t_grid,
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _run_replications(spec: PathSpec, reps: int, seed: Seed, threads: int,
-                      out: np.ndarray, extract) -> None:
-    """Fill out[i] = extract(path of replication i); thread-count invariant."""
+def _run_replications(spec: PathSpec, reps: int, seed: Seed,
+                      threads: int) -> np.ndarray:
+    """The reps x len(spec.t_grid) matrix whose row i is the path of
+    replication i; thread-count invariant."""
+    out = np.empty((reps, len(spec.t_grid)))
 
     def work(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            out[i] = extract(sample_process_path(spec, seed.child(i)))
+            out[i] = sample_process_path(spec, seed.child(i)).values
 
     if threads in (0, None):
         threads = 1
     if threads <= 1 or reps < 256:
         work(0, reps)
-        return
+        return out
     bounds = np.linspace(0, reps, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(work, bounds[k], bounds[k + 1])
                    for k in range(threads)]
         for f in futures:
             f.result()
+    return out
 
 
 def _bootstrap_counts(seed: Seed, reps: int, bootstrap: int) -> np.ndarray:
@@ -220,25 +222,15 @@ def mc_correlation(spec: PathSpec, s: float, t_grid, reps: int, seed: Seed,
     if delta is not None and s + delta > t_min:
         raise DomainError(f"s+delta={s + delta} must not exceed min(t_grid)={t_min}")
 
+    # X at s and every t, then (with delta) X at the right endpoints; each
+    # probe time is exactly a point of the simulated grid
     probe = np.concatenate(([s], t))
     if delta is not None:
         probe = np.concatenate((probe, probe + delta))
     sim_grid = np.unique(probe)
-    sim_spec = replace(spec, t_grid=sim_grid)
-
-    if delta is None:
-        pick = np.searchsorted(sim_grid, np.concatenate(([s], t)))
-
-        def extract(path: SamplePath) -> np.ndarray:
-            return path.values[pick]
-    else:
-        _, lo, hi = _increment_pairs(sim_grid, delta, times=np.concatenate(([s], t)))
-
-        def extract(path: SamplePath) -> np.ndarray:
-            return path.values[hi] - path.values[lo]
-
-    out = np.empty((reps, len(t) + 1))
-    _run_replications(sim_spec, reps, seed, threads, out, extract)
+    idx = np.searchsorted(sim_grid, probe).reshape(-1, len(t) + 1)
+    paths = _run_replications(replace(spec, t_grid=sim_grid), reps, seed, threads)
+    out = paths[:, idx[0]] if delta is None else paths[:, idx[1]] - paths[:, idx[0]]
 
     flat = np.flatnonzero(np.ptp(out, axis=0) == 0.0)
     if len(flat):
@@ -262,9 +254,7 @@ def mc_marginal_moments(spec: PathSpec, reps: int, seed: Seed,
     """
     if reps < 2:
         raise DomainError(f"need reps >= 2, got {reps}")
-    out = np.empty((reps, len(spec.t_grid)))
-    _run_replications(spec, reps, seed, threads, out,
-                      lambda path: path.values)
+    out = _run_replications(spec, reps, seed, threads)
     means = out.mean(axis=0)
     devs = out - means
     m2 = np.sum(devs ** 2, axis=0) / (reps - 1)
@@ -376,9 +366,11 @@ def delta_empirical(params: FppParams, n: int, m_values: Sequence[int],
     grid = np.arange(1, t_max + 1, dtype=float)
     spec = PathSpec("fpp", params, grid, stable_step=stable_step)
 
-    incs = np.empty((reps, t_max))
-    _run_replications(spec, reps, seed, threads, incs,
-                      lambda path: np.diff(np.concatenate(([0.0], path.values))))
+    incs = _run_replications(spec, reps, seed, threads)
+    # unit increments, row by row in place: a whole-matrix np.diff would
+    # hold a second reps x t_max matrix
+    for row in incs:
+        row[1:] = np.diff(row)
 
     value = _weighted_block_ratios(np.ones((1, reps)), incs, n, m_arr)[0]
     counts = _bootstrap_counts(seed, reps, bootstrap)

@@ -2,19 +2,24 @@
 
 Subordination identities drive everything: the FPP is a Poisson process on
 an inverse-stable clock, N_b(t) = N(E_b(t)); the FNBP additionally runs
-that clock on a gamma subordinator, Q_b(t) = N_b(Y(t)).  The inverse
-stable clock is generated by first passage of a discretized stable
-subordinator, which is the faithful construction for joint (multi-time)
-laws.  Without an explicit ``stable_step`` the step is chosen from the last
-clock target, for the FPP and the FNBP alike.
+that clock on a gamma subordinator, Q_b(t) = N_b(Y(t)).  So every process
+is a subset of three stages, always applied in this order to the time grid:
+a gamma clock Y, an inverse-stable clock E_b, and a Poisson count.  The
+table ``_STAGES`` says which stages each process uses; the poisson, gamma
+and inv_stable processes are single stages, nb is gamma then count, fpp is
+inverse-stable then count, and fnbp is all three.  The inverse stable clock
+is generated by first passage of a discretized stable subordinator, which
+is the faithful construction for joint (multi-time) laws.  Without an
+explicit ``stable_step`` the step is chosen from the last clock target, for
+the FPP and the FNBP alike.
 
-Draw order within a replication is fixed (gamma clock, then stable chunks,
-then Poisson thinning), so a (root, stream) pair reproduces a path
-bit-for-bit.  First passage draws the uniform V and exponential W of
-Kanter's construction a whole chunk at a time, but transforms and sums them
-only up to the sub-block in which the subordinator passes the last target.
-The draws past passage are discarded untransformed, so neither the stream
-nor the path depends on where the transform stops.
+Every stage draws from the replication's one stream, in stage order, so a
+(root, stream) pair reproduces a path bit-for-bit.  First passage draws the
+uniform V and exponential W of Kanter's construction a whole chunk at a
+time, but transforms and sums them only up to the sub-block in which the
+subordinator passes the last target.  The draws past passage are discarded
+untransformed, so neither the stream nor the path depends on where the
+transform stops.
 """
 
 from __future__ import annotations
@@ -34,13 +39,20 @@ __all__ = [
     "SamplePath",
     "PathSpec",
     "sample_positive_stable",
-    "sample_inverse_stable_path",
-    "sample_gamma_path",
     "sample_process_path",
     "increment_path",
 ]
 
-PROCESSES = ("poisson", "gamma", "inv_stable", "fpp", "nb", "fnbp")
+# process -> (parameter type, gamma clock?, inverse-stable clock?, Poisson count?)
+_STAGES = {
+    "poisson": (FppParams, False, False, True),
+    "gamma": (GammaParams, True, False, False),
+    "inv_stable": (FppParams, False, True, False),
+    "fpp": (FppParams, False, True, True),
+    "nb": (FnbpParams, True, False, True),
+    "fnbp": (FnbpParams, True, True, True),
+}
+PROCESSES = tuple(_STAGES)
 
 # default resolution of the first-passage inversion: expected number of
 # stable steps needed to exceed the largest requested time
@@ -97,7 +109,9 @@ class SamplePath:
             raise DomainError("times and values must be 1-d arrays of equal length")
         if np.any(np.diff(self.times) <= 0.0):
             raise DomainError("times must be strictly increasing")
-        if len(self.values) and self.values[0] < 0:
+        # a nondecreasing path is nonnegative when its first value is
+        if len(self.values) and (self.values[0] if self.nondecreasing
+                                 else self.values.min()) < 0.0:
             raise DomainError("values must be nonnegative")
         if self.nondecreasing and np.any(np.diff(self.values) < 0.0):
             raise DomainError("values must be nondecreasing")
@@ -124,19 +138,13 @@ class PathSpec:
         object.__setattr__(self, "t_grid", grid)
         if self.stable_step is not None and not (self.stable_step > 0.0):
             raise DomainError(f"stable_step must be > 0, got {self.stable_step}")
-        needs_fpp = self.process in ("fpp", "inv_stable")
-        if needs_fpp and not isinstance(self.params, FppParams):
-            raise DomainError(f"process {self.process!r} needs FppParams")
-        if self.process in ("nb", "fnbp") and not isinstance(self.params, FnbpParams):
-            raise DomainError(f"process {self.process!r} needs FnbpParams")
-        if self.process == "gamma" and not isinstance(self.params, GammaParams):
-            raise DomainError("process 'gamma' needs GammaParams")
-        if self.process == "poisson" and not isinstance(self.params, FppParams):
-            raise DomainError("process 'poisson' needs FppParams (rate = lam)")
+        needs = _STAGES[self.process][0]
+        if not isinstance(self.params, needs):
+            raise DomainError(f"process {self.process!r} needs {needs.__name__}")
 
 
 # ---------------------------------------------------------------------------
-# Elementary samplers
+# Elementary samplers and the three stages
 # ---------------------------------------------------------------------------
 
 def _kanter_inputs(rng: np.random.Generator, n: int):
@@ -245,26 +253,13 @@ def _first_passage(beta: float, targets: np.ndarray, step: float,
 def _inverse_stable_values(beta: float, targets: np.ndarray, step: Optional[float],
                            rng: np.random.Generator, max_steps: int) -> np.ndarray:
     """E_b at nondecreasing targets >= 0; ``step=None`` takes the default
-    step for the last target, and beta == 1 is the identity clock."""
+    step for the last target, and beta == 1 is the identity clock (a copy
+    of the targets)."""
     if beta == 1.0:
-        return targets
+        return targets.copy()
     if step is None:
         step = _auto_step(beta, max(float(targets[-1]), 1e-300))
     return _first_passage(beta, targets, step, rng, max_steps)
-
-
-def sample_inverse_stable_path(beta: float, t_grid, stable_step: Optional[float],
-                               rng: np.random.Generator,
-                               max_steps: int = DEFAULT_MAX_STEPS) -> SamplePath:
-    """Joint draw of the inverse stable clock on a strictly increasing grid."""
-    grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(grid) <= 0.0) or np.any(grid < 0.0):
-        raise DomainError("t_grid must be strictly increasing and nonnegative")
-    if beta == 1.0:
-        return SamplePath(grid, grid.copy())
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must be in (0, 1], got {beta}")
-    return SamplePath(grid, _inverse_stable_values(beta, grid, stable_step, rng, max_steps))
 
 
 def _gamma_values(gamma: GammaParams, grid: np.ndarray,
@@ -273,18 +268,6 @@ def _gamma_values(gamma: GammaParams, grid: np.ndarray,
     dt = np.diff(np.concatenate(([0.0], grid)))
     return np.cumsum(rng.gamma(shape=gamma.p * dt, scale=1.0 / gamma.alpha))
 
-
-def sample_gamma_path(gamma: GammaParams, t_grid, rng: np.random.Generator) -> SamplePath:
-    """Gamma subordinator on a grid via independent Gamma(rate a, shape p dt) increments."""
-    grid = np.asarray(t_grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("t_grid must be strictly increasing and positive")
-    return SamplePath(grid, _gamma_values(gamma, grid, rng))
-
-
-# ---------------------------------------------------------------------------
-# Composite processes
-# ---------------------------------------------------------------------------
 
 def _poisson_compose(lam: float, clock: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Counts of a rate-lam Poisson process evaluated at nondecreasing clock times.
@@ -303,65 +286,55 @@ def _poisson_compose(lam: float, clock: np.ndarray, rng: np.random.Generator) ->
     return np.cumsum(rng.poisson(lam * dt)).astype(float)
 
 
+# ---------------------------------------------------------------------------
+# Composite processes
+# ---------------------------------------------------------------------------
+
 def sample_process_path(spec: PathSpec, seed: Seed) -> SamplePath:
-    """One replication of the requested process on spec.t_grid."""
+    """One replication of the requested process on spec.t_grid: its stages
+    of gamma clock, inverse-stable clock and Poisson count, in that order."""
     rng = seed.rng()
-    grid = spec.t_grid
-    kind = spec.process
+    _, gamma, stable, count = _STAGES[spec.process]
     params = spec.params
-    if kind == "gamma":
-        return sample_gamma_path(params, grid, rng)
-    if kind == "inv_stable":
-        return sample_inverse_stable_path(params.beta, grid, spec.stable_step,
-                                          rng, spec.max_steps)
-    # the clocks are built as arrays: spec.t_grid is already validated, and
-    # only the returned path is checked
-    if kind == "poisson":
-        lam, clock = params.lam, grid
-    elif kind == "fpp":
-        lam = params.lam
-        clock = _inverse_stable_values(params.beta, grid, spec.stable_step,
-                                       rng, spec.max_steps)
-    elif kind == "nb":
-        lam, clock = params.fpp.lam, _gamma_values(params.gamma, grid, rng)
-    elif kind == "fnbp":
-        fpp = params.fpp
-        y = _gamma_values(params.gamma, grid, rng)
-        lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, spec.stable_step,
-                                                     rng, spec.max_steps)
-    else:
-        raise DomainError(f"unknown process {kind!r}")
-    return SamplePath(grid, _poisson_compose(lam, clock, rng))
+    fpp = getattr(params, "fpp", params)
+    # spec.t_grid is already validated, so the stages pass arrays and only
+    # the returned path is checked
+    values = spec.t_grid
+    if gamma:
+        values = _gamma_values(getattr(params, "gamma", params), values, rng)
+    if stable:
+        values = _inverse_stable_values(fpp.beta, values, spec.stable_step,
+                                        rng, spec.max_steps)
+    if count:
+        values = _poisson_compose(fpp.lam, values, rng)
+    return SamplePath(spec.t_grid, values)
 
 
 def _increment_pairs(grid: np.ndarray, delta: float, times=None):
     """(left endpoints, lo, hi) of the increments :func:`increment_path`
-    reads: grid[hi] = grid[lo] + delta to within 1e-9 * max(1, grid[-1])."""
+    reads: grid[lo] and grid[hi] are the grid points nearest to each left
+    endpoint t and to t + delta, and both lie within 1e-9 * max(1, grid[-1])."""
     if not (delta > 0.0):
         raise DomainError(f"delta must be > 0, got {delta}")
     tol = 1e-9 * max(1.0, float(grid[-1]))
 
-    def _locate(pts: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(grid, pts)
-        idx = np.clip(idx, 0, len(grid) - 1)
-        left_ok = np.abs(grid[idx] - pts) <= tol
-        idx_m = np.clip(idx - 1, 0, len(grid) - 1)
-        use_left = ~left_ok & (np.abs(grid[idx_m] - pts) <= tol)
-        idx = np.where(use_left, idx_m, idx)
-        if np.any(np.abs(grid[idx] - pts) > tol):
-            missing = pts[np.abs(grid[idx] - pts) > tol]
-            raise GridError(f"times not on the path grid: {missing[:5]}")
-        return idx
+    def nearest(pts: np.ndarray):
+        idx = np.minimum(np.searchsorted(grid, pts), len(grid) - 1)
+        below = np.maximum(idx - 1, 0)
+        idx = np.where(np.abs(grid[below] - pts) < np.abs(grid[idx] - pts), below, idx)
+        return idx, np.abs(grid[idx] - pts) <= tol
 
+    base = grid if times is None else np.asarray(times, dtype=float)
+    lo, lo_ok = nearest(base)
+    hi, hi_ok = nearest(base + delta)
     if times is None:
-        i_hi = np.searchsorted(grid, grid + delta)
-        i_hi = np.clip(i_hi, 0, len(grid) - 1)
-        has_partner = np.abs(grid[i_hi] - (grid + delta)) <= tol
-        if not np.any(has_partner):
+        if not np.any(hi_ok):
             raise GridError(f"no time on the grid has a partner at +{delta}")
-        return grid[has_partner], np.arange(len(grid))[has_partner], i_hi[has_partner]
-    base = np.asarray(times, dtype=float)
-    return base, _locate(base), _locate(base + delta)
+        return base[hi_ok], lo[hi_ok], hi[hi_ok]
+    if not np.all(lo_ok & hi_ok):
+        missing = np.concatenate((base[~lo_ok], (base + delta)[~hi_ok]))
+        raise GridError(f"times not on the path grid: {missing[:5]}")
+    return base, lo, hi
 
 
 def increment_path(path: SamplePath, delta: float, times=None) -> SamplePath:

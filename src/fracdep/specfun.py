@@ -64,6 +64,11 @@ def _require_positive(name: str, x: float) -> float:
     return x
 
 
+def _float_or_array(out):
+    """A 0-d result as a Python float; any other array as it is."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def beta_fn(a: float, b: float) -> float:
     """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     a = _require_positive("a", a)
@@ -82,8 +87,7 @@ def inc_beta(a: float, b: float, x) -> float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > 1.0):
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    out = sp.betainc(a, b, xa) * beta_fn(a, b)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    return _float_or_array(sp.betainc(a, b, xa) * beta_fn(a, b))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -215,7 +219,7 @@ def power_diff(x, y):
             1.0 if y > 0 else (0.0 if y == 0 else np.inf),
             xa ** y * -np.expm1(y * np.log1p(-1.0 / np.maximum(xa, 1.0 + 1e-300))),
         )
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def power_gap(u, delta, y: float):
@@ -231,4 +235,4 @@ def power_gap(u, delta, y: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(zero, da ** y,
                        ua ** y * np.expm1(y * np.log1p(da / np.where(zero, 1.0, ua))))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)

@@ -57,7 +57,7 @@ class TestDerivedConstants:
     def test_r_is_2d_minus_q_squared(self):
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
             p = FppParams(beta, 1.7)
-            assert p.R == pytest.approx(2 * p.d - p.q ** 2, rel=1e-12)
+            assert p.R == pytest.approx(2 * p.d - p.q ** 2, rel=1e-12, abs=0)
 
     def test_r_vanishes_exactly_at_poisson(self, poisson2):
         assert poisson2.R == 0.0
@@ -65,8 +65,8 @@ class TestDerivedConstants:
 
     def test_fnbp_derived(self):
         fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(2.0, 3.0))
-        assert fn.eta == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert fn.d1 == pytest.approx(1.5 * fn.fpp.R, rel=1e-14)
+        assert fn.eta == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0)
+        assert fn.d1 == pytest.approx(1.5 * fn.fpp.R, rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -81,8 +81,8 @@ class TestDerivedConstants:
 
 class TestPoissonReduction:
     def test_mean_variance(self, poisson2):
-        assert fpp_mean(poisson2, 3.0) == pytest.approx(6.0, rel=1e-12)
-        assert fpp_variance(poisson2, 3.0) == pytest.approx(6.0, rel=1e-12)
+        assert fpp_mean(poisson2, 3.0) == pytest.approx(6.0, rel=1e-12, abs=0)
+        assert fpp_variance(poisson2, 3.0) == pytest.approx(6.0, rel=1e-12, abs=0)
         assert fpp_mean(poisson2, 0.0) == 0.0
         assert fpp_variance(poisson2, 0.0) == 0.0
 
@@ -91,14 +91,14 @@ class TestPoissonReduction:
         for _ in range(20):
             s, t = sorted(rng.uniform(0.1, 20.0, 2))
             assert fpp_covariance(poisson2, s, t) == pytest.approx(
-                2.0 * s, rel=1e-12)
+                2.0 * s, rel=1e-12, abs=0)
 
     def test_F_reduces_to_quadratic(self, poisson2):
-        assert fpp_F(poisson2, 1.5, 3.0) == pytest.approx(-1.5 ** 2 / 2, rel=1e-12)
+        assert fpp_F(poisson2, 1.5, 3.0) == pytest.approx(-1.5 ** 2 / 2, rel=1e-12, abs=0)
 
     def test_increment_factorial_moment(self, poisson2):
         assert fpp_increment_factorial_moment(poisson2, 1.0, 3.0) == pytest.approx(
-            (2.0 * 2.0) ** 2, rel=1e-12)
+            (2.0 * 2.0) ** 2, rel=1e-12, abs=0)
 
     def test_disjoint_increments_uncorrelated(self, poisson2):
         noise = NoiseParams(poisson2, 0.7)
@@ -107,7 +107,7 @@ class TestPoissonReduction:
 
     def test_increment_variance_rate(self, poisson2):
         noise = NoiseParams(poisson2, 0.7)
-        assert fpn_variance(noise, 5.0) == pytest.approx(2.0 * 0.7, rel=1e-12)
+        assert fpn_variance(noise, 5.0) == pytest.approx(2.0 * 0.7, rel=1e-12, abs=0)
 
     def test_delta_is_one_exactly(self, poisson2):
         assert delta_statistic(poisson2, 2, 100) == 1.0
@@ -117,21 +117,21 @@ class TestPoissonReduction:
 class TestFppMoments:
     def test_mean_half(self):
         p = FppParams(0.5, 1.0)
-        assert fpp_mean(p, 4.0) == pytest.approx(2.0 / math.gamma(1.5), rel=1e-13)
+        assert fpp_mean(p, 4.0) == pytest.approx(2.0 / math.gamma(1.5), rel=1e-13, abs=0)
 
     def test_variance_golden(self, half):
-        assert fpp_variance(half, 1.0) == pytest.approx(FPP_VAR_05_1_T1, rel=1e-13)
+        assert fpp_variance(half, 1.0) == pytest.approx(FPP_VAR_05_1_T1, rel=1e-13, abs=0)
 
     def test_covariance_variance_consistency(self):
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
             p = FppParams(beta, 1.3)
             for t in (0.5, 1.0, 10.0, 100.0):
                 assert fpp_covariance(p, t, t) == pytest.approx(
-                    fpp_variance(p, t), rel=1e-10)
+                    fpp_variance(p, t), rel=1e-10, abs=0)
 
     def test_covariance_golden(self, half):
         assert fpp_covariance(half, 1.0, 10.0) == pytest.approx(
-            FPP_COV_05_1_1_10, rel=1e-12)
+            FPP_COV_05_1_1_10, rel=1e-12, abs=0)
 
     def test_covariance_symmetrizes(self, half):
         assert fpp_covariance(half, 10.0, 1.0) == fpp_covariance(half, 1.0, 10.0)
@@ -145,7 +145,7 @@ class TestF:
         assert fpp_F(half, 0.0, 10.0) == 0.0
 
     def test_golden(self, half):
-        assert fpp_F(half, 1.0, 100.0) == pytest.approx(FPP_F_05_1_100, rel=1e-10)
+        assert fpp_F(half, 1.0, 100.0) == pytest.approx(FPP_F_05_1_100, rel=1e-10, abs=0)
 
     def test_large_t_expansion(self):
         # F ~ -(b^2/(b+1)) s^{b+1} t^{b-1}, next order O(s^{b+2} t^{b-2})
@@ -165,7 +165,7 @@ class TestIncrementFactorialMoment:
 
     def test_golden(self, half):
         assert fpp_increment_factorial_moment(half, 1.0, 3.0) == pytest.approx(
-            FACT_MOMENT_05_1_1_3, rel=1e-12)
+            FACT_MOMENT_05_1_1_3, rel=1e-12, abs=0)
 
     def test_quadrature_cross_check(self):
         rng = np.random.default_rng(11)
@@ -178,7 +178,7 @@ class TestIncrementFactorialMoment:
             oracle = 2 * beta * p.q ** 2 * adaptive_quad(
                 lambda r: (t - r) ** beta * r ** (beta - 1.0), s, t)
             assert fpp_increment_factorial_moment(p, s, t) == pytest.approx(
-                oracle, rel=1e-8)
+                oracle, rel=1e-8, abs=0)
 
     def test_two_sided_bound(self):
         rng = np.random.default_rng(13)
@@ -200,7 +200,7 @@ class TestIncrementFactorialMoment:
         oracle = 2 * 0.5 * half.q ** 2 * adaptive_quad(
             lambda r: (t - r) ** 0.5 * r ** -0.5, s, t)
         assert fpp_increment_factorial_moment(half, s, t) == pytest.approx(
-            oracle, rel=1e-8)
+            oracle, rel=1e-8, abs=0)
 
 
 class TestFpnCovariance:
@@ -210,7 +210,7 @@ class TestFpnCovariance:
         for t in (3.0, 10.0, 50.0):
             naive = (fpp_covariance(p, 1.0 + 1.0, t + 1.0) + fpp_covariance(p, 1.0, t)
                      - fpp_covariance(p, 2.0, t) - fpp_covariance(p, 1.0, t + 1.0))
-            assert fpn_covariance(noise, 1.0, t) == pytest.approx(naive, rel=1e-8)
+            assert fpn_covariance(noise, 1.0, t) == pytest.approx(naive, rel=1e-8, abs=0)
 
     def test_large_t_power_law(self):
         # exact covariance tracks K * b(1-b)/(b+1) * t^(b-2)
@@ -224,15 +224,15 @@ class TestFpnCovariance:
         noise = NoiseParams(FppParams(0.5, 1.0), 1.0)
         asym = fpn_covariance_asymptotic(noise, 2.0, 100.0)
         assert asym.exponent == -(0.5 + 2.0)
-        assert asym.prefactor == pytest.approx(K_05_1_1_S2, rel=1e-12)
-        assert asym.value == pytest.approx(K_05_1_1_S2 * 100.0 ** -2.5, rel=1e-12)
+        assert asym.prefactor == pytest.approx(K_05_1_1_S2, rel=1e-12, abs=0)
+        assert asym.value == pytest.approx(K_05_1_1_S2 * 100.0 ** -2.5, rel=1e-12, abs=0)
 
     def test_prefactor_collapses_at_s0(self):
         noise = NoiseParams(FppParams(0.4, 1.0), 0.5)
         asym = fpn_covariance_asymptotic(noise, 0.0, 50.0)
         q = noise.fpp.q
         assert asym.prefactor == pytest.approx(0.4 * q * q * 0.5 ** (0.4 + 2.0),
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0)
 
     def test_overlap_raises(self):
         noise = NoiseParams(FppParams(0.5, 1.0), 1.0)
@@ -263,7 +263,7 @@ class TestFpnVariance:
     def test_at_zero_equals_point_variance(self, half):
         noise = NoiseParams(half, 0.8)
         assert fpn_variance(noise, 0.0) == pytest.approx(
-            fpp_variance(half, 0.8), rel=1e-12)
+            fpp_variance(half, 0.8), rel=1e-12, abs=0)
 
     def test_matches_covariance_combination(self):
         noise = NoiseParams(FppParams(0.4, 1.5), 1.0)
@@ -271,7 +271,7 @@ class TestFpnVariance:
         for t in (0.5, 2.0, 20.0):
             naive = (fpp_variance(p, t + 1.0) + fpp_variance(p, t)
                      - 2.0 * fpp_covariance(p, t, t + 1.0))
-            assert fpn_variance(noise, t) == pytest.approx(naive, rel=1e-9)
+            assert fpn_variance(noise, t) == pytest.approx(naive, rel=1e-9, abs=0)
 
     def test_asymptotic_self_consistency(self):
         noise = NoiseParams(FppParams(0.3, 1.0), 1.0)
@@ -284,7 +284,7 @@ class TestFpnCorrelationModel:
         assert fpn_correlation(NoiseParams(poisson2, 1.0), 1.0, 10.0) == 0.0
 
     def test_exponent_boundary(self):
-        assert fpn_theoretical_exponent(1.0 / 3.0) == pytest.approx(2.0, rel=1e-15)
+        assert fpn_theoretical_exponent(1.0 / 3.0) == pytest.approx(2.0, rel=1e-15, abs=0)
         assert classify_exponent(fpn_theoretical_exponent(0.2)) == "SRD"
         assert classify_exponent(fpn_theoretical_exponent(0.5)) == "UNCLASSIFIED"
 
@@ -296,17 +296,17 @@ class TestFpnCorrelationModel:
 
 class TestDeltaStatistic:
     def test_single_cell(self, half):
-        assert delta_statistic(half, 1, 1) == pytest.approx(1.0, rel=1e-12)
+        assert delta_statistic(half, 1, 1) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m,ref", sorted(DELTA_05_N2.items()))
     def test_goldens(self, half, m, ref):
-        assert delta_statistic(half, 2, m) == pytest.approx(ref, rel=1e-10)
+        assert delta_statistic(half, 2, m) == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_grows_like_power_of_m(self, half):
         # the block-variance ratio diverges; successive decades grow by ~sqrt(10)
         vals = [delta_statistic(half, 2, m) for m in (10, 100, 1000)]
         assert vals[2] > vals[1] > vals[0] > 1.0
-        assert vals[2] / vals[1] == pytest.approx(math.sqrt(10.0), rel=0.1)
+        assert vals[2] / vals[1] == pytest.approx(math.sqrt(10.0), rel=0.1, abs=0)
 
     def test_limit_bound_is_at_most_one(self):
         for beta in (0.2, 0.5, 0.8):
@@ -319,7 +319,7 @@ class TestDeltaStatistic:
         n, m = 2, 57
         j = np.arange((n - 1) * m + 1, n * m + 1, dtype=float)
         total = float(np.sum(power_diff(j, 0.5)))
-        assert total == pytest.approx((n * m) ** 0.5 - ((n - 1) * m) ** 0.5, rel=1e-10)
+        assert total == pytest.approx((n * m) ** 0.5 - ((n - 1) * m) ** 0.5, rel=1e-10, abs=0)
 
     def test_validation(self, half):
         with pytest.raises(DomainError):
@@ -374,30 +374,30 @@ class TestNbPmf:
 
     def test_zero_count(self, params):
         assert nb_pmf(params, 0, 2.0) == pytest.approx((1 - params.eta) ** 2.0,
-                                                       rel=1e-13)
+                                                       rel=1e-13, abs=0)
 
     def test_geometric_case(self, params):
         # pt = 1: P[X=n] = eta^n (1-eta)
         for n in range(5):
             assert nb_pmf(params, n, 1.0) == pytest.approx(
-                0.5 ** n * 0.5, rel=1e-12)
+                0.5 ** n * 0.5, rel=1e-12, abs=0)
 
     def test_known_value(self, params):
-        assert nb_pmf(params, 3, 2.0) == pytest.approx(0.125, rel=1e-12)
+        assert nb_pmf(params, 3, 2.0) == pytest.approx(0.125, rel=1e-12, abs=0)
 
     def test_normalization(self, params):
         total = sum(nb_pmf(params, n, 2.0) for n in range(200))
-        assert total == pytest.approx(1.0, rel=1e-10)
+        assert total == pytest.approx(1.0, rel=1e-10, abs=0)
 
 
 class TestFnbpMoments:
     def test_mean_poisson_gamma(self):
         fn = FnbpParams(FppParams(1.0, 1.0), GammaParams(1.0, 1.0))
-        assert fnbp_mean(fn, 2.0) == pytest.approx(2.0, rel=1e-13)
+        assert fnbp_mean(fn, 2.0) == pytest.approx(2.0, rel=1e-13, abs=0)
 
     def test_mean_exact_cancellation(self):
         fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1.0))
-        assert fnbp_mean(fn, 2.0) == pytest.approx(1.5, rel=1e-13)
+        assert fnbp_mean(fn, 2.0) == pytest.approx(1.5, rel=1e-13, abs=0)
 
     def test_mean_power_limit(self):
         fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1.0))
@@ -411,12 +411,12 @@ class TestFnbpMoments:
         r = 3.0 * t
         eta = fn.eta
         assert fnbp_variance(fn, t) == pytest.approx(
-            r * eta / (1 - eta) ** 2, rel=1e-12)
+            r * eta / (1 - eta) ** 2, rel=1e-12, abs=0)
 
     def test_variance_golden(self):
         fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(2.0, 1.0))
         assert fnbp_variance(fn, 3.0) == pytest.approx(
-            FNBP_VAR_05_1_A2_P1_T3, rel=1e-12)
+            FNBP_VAR_05_1_A2_P1_T3, rel=1e-12, abs=0)
 
     def test_variance_asymptotic_power(self):
         # Var/(t^{2b} d1) -> 1; the leading correction is q t^{-b}/R, so
@@ -434,11 +434,11 @@ class TestFnbpCovariance:
 
     def test_diagonal_equals_variance(self, params):
         assert fnbp_covariance(params, 3.0, 3.0) == pytest.approx(
-            fnbp_variance(params, 3.0), rel=1e-8)
+            fnbp_variance(params, 3.0), rel=1e-8, abs=0)
 
     def test_golden_t50(self, params):
         assert fnbp_covariance(params, 1.0, 50.0) == pytest.approx(
-            FNBP_COV_05_1_1_1_S1_T50, rel=1e-9)
+            FNBP_COV_05_1_1_1_S1_T50, rel=1e-9, abs=0)
 
     def test_unit_shape_collapses_to_limit(self):
         # when p*s = 1 the mixing ratio Y(s)/Y(t) is Beta(1, p(t-s)) and
@@ -449,7 +449,7 @@ class TestFnbpCovariance:
             limit = (fn.fpp.q * fn.clock_moment(beta, 1.0)
                      + fn.fpp.d * fn.clock_moment(2 * beta, 1.0))
             for t in (5.0, 500.0):
-                assert fnbp_covariance(fn, 1.0, t) == pytest.approx(limit, rel=5e-9)
+                assert fnbp_covariance(fn, 1.0, t) == pytest.approx(limit, rel=5e-9, abs=0)
 
     def test_limit_approach_rate(self):
         # away from p*s = 1 the gap to the limit shrinks like t^{b-1}
@@ -458,16 +458,16 @@ class TestFnbpCovariance:
                  + fn.fpp.d * fn.clock_moment(0.6, 2.0))
         gaps = [limit - fnbp_covariance(fn, 2.0, t) for t in (50.0, 500.0)]
         assert gaps[0] > gaps[1] > 0.0
-        assert gaps[0] / gaps[1] == pytest.approx(10.0 ** 0.7, rel=0.15)
+        assert gaps[0] / gaps[1] == pytest.approx(10.0 ** 0.7, rel=0.15, abs=0)
 
     def test_large_t_limit(self, params):
         limit = (params.fpp.q * params.clock_moment(0.5, 1.0)
                  + params.fpp.d * params.clock_moment(1.0, 1.0))
-        assert fnbp_covariance(params, 1.0, 1e6) == pytest.approx(limit, rel=0.01)
+        assert fnbp_covariance(params, 1.0, 1e6) == pytest.approx(limit, rel=0.01, abs=0)
 
     def test_symmetrized(self, params):
         assert fnbp_covariance(params, 50.0, 1.0) == pytest.approx(
-            fnbp_covariance(params, 1.0, 50.0), rel=1e-12)
+            fnbp_covariance(params, 1.0, 50.0), rel=1e-12, abs=0)
 
 
 class TestFnbpCorrelation:
@@ -503,19 +503,19 @@ class TestFnbnAsymptotics:
 
     def test_cov_prefactor_golden(self, noise):
         asym = fnbn_asymptotics(noise, 1.0, 100.0)
-        assert asym.cov.prefactor == pytest.approx(FNBN_COV_PREF_05, rel=1e-12)
+        assert asym.cov.prefactor == pytest.approx(FNBN_COV_PREF_05, rel=1e-12, abs=0)
         assert asym.cov.exponent == 0.5 - 2.0
 
     def test_var_structure(self, noise):
         asym = fnbn_asymptotics(noise, 1.0, 100.0)
         q = noise.base.fpp.q
-        assert asym.var.prefactor == pytest.approx(0.5 * 1.0 * q, rel=1e-12)
+        assert asym.var.prefactor == pytest.approx(0.5 * 1.0 * q, rel=1e-12, abs=0)
         assert asym.var.exponent == 0.5 - 1.0
 
     def test_correlation_curve_is_pure_power_law(self, noise):
         c1 = fnbn_correlation_asymptotic(noise, 1.0, 100.0)
         c2 = fnbn_correlation_asymptotic(noise, 1.0, 1000.0)
-        assert c1 / c2 == pytest.approx(10.0 ** 1.25, rel=1e-10)
+        assert c1 / c2 == pytest.approx(10.0 ** 1.25, rel=1e-10, abs=0)
 
     def test_overlap_raises(self, noise):
         with pytest.raises(DomainError):

@@ -25,7 +25,7 @@ class TestFitPowerLaw:
                                  std_error=None, source="ANALYTIC")
         fit = fit_power_law(curve, t_min_cutoff=0.0)
         assert fit.d_hat == pytest.approx(0.7, abs=1e-12)
-        assert fit.c_hat == pytest.approx(2.0, rel=1e-12)
+        assert fit.c_hat == pytest.approx(2.0, rel=1e-12, abs=0)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.label == "LRD"
         assert fit.n_points == 25
@@ -172,6 +172,20 @@ class TestMcCorrelation:
                            threads=8)
         assert np.array_equal(a.corr, b.corr)
         assert np.array_equal(a.std_error, b.std_error)
+        # every estimator, at reps >= 256 so that two threads really run
+        fn = FnbpParams(FppParams(0.6, 1.0), GammaParams(1.0, 1.0))
+        fnbp = PathSpec("fnbp", fn, np.array([1.0, 2.0, 3.0]), stable_step=0.05)
+        runs = {}
+        for threads in (1, 2):
+            inc = mc_correlation(spec, 1.0, np.array([3.0, 5.0]), reps=300, seed=Seed(4),
+                                 delta=1.0, threads=threads)
+            means, variances = mc_marginal_moments(fnbp, 300, Seed(5), threads=threads)
+            table = delta_empirical(p, 2, [1, 3], 1000, Seed(6), threads=threads,
+                                    stable_step=0.05)
+            runs[threads] = (inc.corr, inc.std_error, table.value, table.std_error,
+                             [(e.value, e.std_error) for e in means + variances])
+        for one, two in zip(runs[1], runs[2]):
+            assert np.array_equal(one, two)
 
     def test_validation(self):
         spec = PathSpec("poisson", FppParams(1.0, 1.0), np.array([10.0]))
@@ -274,7 +288,7 @@ class TestMcMarginalMoments:
         spec = PathSpec("gamma", GammaParams(1.0, 1.0), np.array([2.0]))
         m1, _ = mc_marginal_moments(spec, reps=2000, seed=Seed(5))
         m2, _ = mc_marginal_moments(spec, reps=8000, seed=Seed(5))
-        assert m2[0].std_error / m1[0].std_error == pytest.approx(0.5, rel=0.25)
+        assert m2[0].std_error / m1[0].std_error == pytest.approx(0.5, rel=0.25, abs=0)
 
 
 class TestStdErrorScaling:
@@ -348,9 +362,9 @@ class TestCountWeightedBootstrap:
         boot_rng = seed.rng(0xB007)
         boot = np.array([loop_ratios(incs[boot_rng.integers(0, reps, reps)], n, m_arr)
                          for _ in range(200)])
-        assert table.value == pytest.approx(loop_ratios(incs, n, m_arr), rel=1e-12)
+        assert table.value == pytest.approx(loop_ratios(incs, n, m_arr), rel=1e-12, abs=0)
         assert table.std_error == pytest.approx(np.nanstd(boot, axis=0, ddof=1),
-                                                rel=1e-12)
+                                                rel=1e-12, abs=0)
 
     def test_zero_variance_resample_is_nan_and_dropped(self):
         rng = np.random.default_rng(8)
@@ -362,10 +376,10 @@ class TestCountWeightedBootstrap:
         weighted = _weighted_block_ratios(counts, incs, n, m_arr)
         loop = np.array([loop_ratios(incs[i], n, m_arr) for i in idx])
         assert np.all(np.isnan(weighted[-1])) and np.all(np.isnan(loop[-1]))
-        assert weighted[:-1] == pytest.approx(loop[:-1], rel=1e-12)
+        assert weighted[:-1] == pytest.approx(loop[:-1], rel=1e-12, abs=0)
         kept = np.nanstd(loop, axis=0, ddof=1)
-        assert kept == pytest.approx(np.std(loop[:-1], axis=0, ddof=1), rel=1e-15)
-        assert np.nanstd(weighted, axis=0, ddof=1) == pytest.approx(kept, rel=1e-12)
+        assert kept == pytest.approx(np.std(loop[:-1], axis=0, ddof=1), rel=1e-15, abs=0)
+        assert np.nanstd(weighted, axis=0, ddof=1) == pytest.approx(kept, rel=1e-12, abs=0)
 
 
 class TestNbCovarianceOracle:

@@ -10,14 +10,22 @@ import pytest
 from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fnbp_mean, fpn_variance, fpp_mean, nb_pmf)
 from fracdep.errors import DomainError, GridError, NumericalError, ResourceCapError
-from fracdep.sim import (PathSpec, SamplePath, Seed, _auto_step, _first_passage,
-                         increment_path, sample_gamma_path, sample_inverse_stable_path,
+from fracdep.sim import (DEFAULT_MAX_STEPS, PROCESSES, PathSpec, SamplePath, Seed,
+                         _auto_step, _first_passage, _gamma_values,
+                         _inverse_stable_values, _poisson_compose, increment_path,
                          sample_positive_stable, sample_process_path)
 from fracdep.specfun import gamma_frac_moment
 
 
 def within_se(estimate, truth, se, k=3.0):
     return abs(estimate - truth) <= k * se
+
+
+def inverse_stable_path(beta, t_grid, stable_step, seed, max_steps=DEFAULT_MAX_STEPS):
+    """The inverse stable clock on t_grid, drawn from seed's stream."""
+    spec = PathSpec("inv_stable", FppParams(beta, 1.0), np.asarray(t_grid, dtype=float),
+                    stable_step=stable_step, max_steps=max_steps)
+    return sample_process_path(spec, seed)
 
 
 class TestSeed:
@@ -72,11 +80,14 @@ class TestPositiveStable:
 
 class TestInverseStableMarginal:
     def test_zero_time(self):
-        path = sample_inverse_stable_path(0.5, np.array([0.0]), None, Seed(1).rng())
-        assert path.values[0] == 0.0
+        # a PathSpec grid is positive, but a gamma clock that underflows to 0
+        # hands the inverse stable stage a zero target
+        values = _inverse_stable_values(0.5, np.array([0.0]), None, Seed(1).rng(),
+                                        DEFAULT_MAX_STEPS)
+        assert values[0] == 0.0
 
     def test_degenerate_clock(self):
-        path = sample_inverse_stable_path(1.0, np.array([3.7]), None, Seed(1).rng())
+        path = inverse_stable_path(1.0, np.array([3.7]), None, Seed(1))
         assert path.values[0] == 3.7
 
     def test_mean(self):
@@ -90,7 +101,7 @@ class TestInverseStableMarginal:
 class TestInverseStablePath:
     def test_monotone(self):
         grid = np.linspace(0.5, 20.0, 40)
-        path = sample_inverse_stable_path(0.6, grid, None, Seed(3).rng())
+        path = inverse_stable_path(0.6, grid, None, Seed(3))
         assert np.all(np.diff(path.values) >= 0.0)
         assert np.all(path.values > 0.0)
 
@@ -99,8 +110,7 @@ class TestInverseStablePath:
         step = t ** beta / math.gamma(1.5) / 800
         R = 20000
         vals = np.array([
-            sample_inverse_stable_path(beta, np.array([t]), step,
-                                       Seed(17, i).rng()).values[0]
+            inverse_stable_path(beta, np.array([t]), step, Seed(17, i)).values[0]
             for i in range(R)
         ])
         truth = t ** beta / math.gamma(1.5)
@@ -118,8 +128,7 @@ class TestInverseStablePath:
             es = np.empty(R)
             et = np.empty(R)
             for i in range(R):
-                p = sample_inverse_stable_path(beta, np.array([s, t]), step,
-                                               Seed(root, i).rng())
+                p = inverse_stable_path(beta, np.array([s, t]), step, Seed(root, i))
                 es[i], et[i] = p.values
             c = float(np.cov(es, et, ddof=1)[0, 1])
             prods = (es - es.mean()) * (et - et.mean())
@@ -132,8 +141,7 @@ class TestInverseStablePath:
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
-            sample_inverse_stable_path(0.5, np.array([100.0]), 1e-6,
-                                       Seed(1).rng(), max_steps=1000)
+            inverse_stable_path(0.5, np.array([100.0]), 1e-6, Seed(1), max_steps=1000)
 
 
 def eager_first_passage(beta, targets, step, rng, max_steps):
@@ -228,8 +236,7 @@ class TestGammaPath:
         g = GammaParams(2.0, 1.5)
         R = 50000
         rng = Seed(11).rng()
-        vals = np.array([sample_gamma_path(g, np.array([2.0]), rng).values[0]
-                         for i in range(R)])
+        vals = np.array([_gamma_values(g, np.array([2.0]), rng)[0] for i in range(R)])
         truth = 1.5 * 2.0 / 2.0
         se = vals.std(ddof=1) / math.sqrt(R)
         assert within_se(vals.mean(), truth, se)
@@ -238,8 +245,7 @@ class TestGammaPath:
         g = GammaParams(1.0, 1.0)
         R = 30000
         rng = Seed(12).rng()
-        y = np.array([sample_gamma_path(g, np.array([2.0]), rng).values[0]
-                      for _ in range(R)])
+        y = np.array([_gamma_values(g, np.array([2.0]), rng)[0] for _ in range(R)])
         emp = np.sqrt(y)
         truth = gamma_frac_moment(0.5, 1.0, 2.0)
         se = emp.std(ddof=1) / math.sqrt(R)
@@ -252,9 +258,9 @@ class TestGammaPath:
         a = np.empty(R)
         b = np.empty(R)
         for i in range(R):
-            p = sample_gamma_path(g, np.array([1.0, 2.0, 3.0]), rng)
-            a[i] = p.values[1] - p.values[0]
-            b[i] = p.values[2] - p.values[1]
+            y = _gamma_values(g, np.array([1.0, 2.0, 3.0]), rng)
+            a[i] = y[1] - y[0]
+            b[i] = y[2] - y[1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(R)
 
@@ -272,6 +278,95 @@ class TestPoissonCount:
         p0 = np.mean(draws == 0)
         se = math.sqrt(p0 * (1 - p0) / len(draws))
         assert within_se(p0, math.exp(-1.5), se)
+
+
+def reference_process_path(spec, seed):
+    """Reference: the per-process dispatch that the stage table replaced."""
+
+    def sample_inverse_stable_path(beta, t_grid, stable_step, rng,
+                                   max_steps=DEFAULT_MAX_STEPS):
+        grid = np.asarray(t_grid, dtype=float)
+        if np.any(np.diff(grid) <= 0.0) or np.any(grid < 0.0):
+            raise DomainError("t_grid must be strictly increasing and nonnegative")
+        if beta == 1.0:
+            return SamplePath(grid, grid.copy())
+        if not (0.0 < beta < 1.0):
+            raise DomainError(f"beta must be in (0, 1], got {beta}")
+        return SamplePath(grid, _inverse_stable_values(beta, grid, stable_step, rng,
+                                                       max_steps))
+
+    def sample_gamma_path(gamma, t_grid, rng):
+        grid = np.asarray(t_grid, dtype=float)
+        if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+            raise DomainError("t_grid must be strictly increasing and positive")
+        return SamplePath(grid, _gamma_values(gamma, grid, rng))
+
+    rng = seed.rng()
+    grid = spec.t_grid
+    kind = spec.process
+    params = spec.params
+    if kind == "gamma":
+        return sample_gamma_path(params, grid, rng)
+    if kind == "inv_stable":
+        return sample_inverse_stable_path(params.beta, grid, spec.stable_step,
+                                          rng, spec.max_steps)
+    if kind == "poisson":
+        lam, clock = params.lam, grid
+    elif kind == "fpp":
+        lam = params.lam
+        clock = _inverse_stable_values(params.beta, grid, spec.stable_step,
+                                       rng, spec.max_steps)
+    elif kind == "nb":
+        lam, clock = params.fpp.lam, _gamma_values(params.gamma, grid, rng)
+    elif kind == "fnbp":
+        fpp = params.fpp
+        y = _gamma_values(params.gamma, grid, rng)
+        lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, spec.stable_step,
+                                                     rng, spec.max_steps)
+    else:
+        raise DomainError(f"unknown process {kind!r}")
+    return SamplePath(grid, _poisson_compose(lam, clock, rng))
+
+
+def process_params(process, beta):
+    gamma = GammaParams(1.3, 0.7)
+    if process == "gamma":
+        return gamma
+    if process in ("nb", "fnbp"):
+        return FnbpParams(FppParams(beta, 1.2), gamma)
+    return FppParams(beta, 1.2)
+
+
+class TestStageComposition:
+    GRID = np.array([0.5, 1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("stable_step", [None, 0.02])
+    def test_bitwise_equal_to_dispatch(self, process, beta, stable_step, monkeypatch):
+        spec = PathSpec(process, process_params(process, beta), self.GRID,
+                        stable_step=stable_step)
+        streams = []
+        make_rng = Seed.rng
+
+        def recording_rng(seed, *extra):
+            streams.append(make_rng(seed, *extra))
+            return streams[-1]
+
+        monkeypatch.setattr(Seed, "rng", recording_rng)
+        for i in range(4):
+            path = sample_process_path(spec, Seed(77, i))
+            ref = reference_process_path(spec, Seed(77, i))
+            ref_next, path_next = streams.pop().random(), streams.pop().random()
+            assert path.times.tobytes() == ref.times.tobytes()
+            assert path.values.tobytes() == ref.values.tobytes()
+            assert path_next == ref_next  # same draws consumed
+
+    def test_identity_clock_is_a_copy(self):
+        spec = PathSpec("inv_stable", FppParams(1.0, 1.0), np.array([1.0, 2.0]))
+        path = sample_process_path(spec, Seed(1))
+        assert path.values is not spec.t_grid
+        assert np.array_equal(path.values, spec.t_grid)
 
 
 class TestProcessPaths:
@@ -332,6 +427,17 @@ class TestProcessPaths:
         with pytest.raises(DomainError):
             PathSpec("warp", FppParams(0.5, 1.0), np.array([1.0]))
 
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_parameter_type(self, process):
+        right = type(process_params(process, 0.5))
+        for params in (FppParams(0.5, 1.0), GammaParams(1.0, 1.0),
+                       FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1.0))):
+            if isinstance(params, right):
+                PathSpec(process, params, np.array([1.0]))
+            else:
+                with pytest.raises(DomainError, match=f"needs {right.__name__}$"):
+                    PathSpec(process, params, np.array([1.0]))
+
 
 class TestIncrementPath:
     def test_flat_segment_gives_zero(self):
@@ -351,6 +457,23 @@ class TestIncrementPath:
             increment_path(path, 0.5, times=[1.0])
         with pytest.raises(GridError):
             increment_path(path, 7.0)
+
+    def test_partner_rounded_above_grid_point(self):
+        # 0.2 + 0.1 is 0.30000000000000004, just above the grid point 0.3
+        grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        path = SamplePath(grid, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+        inc = increment_path(path, 0.1)
+        explicit = increment_path(path, 0.1, times=grid[:4])
+        assert np.array_equal(inc.times, grid[:4])
+        assert np.array_equal(inc.values, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(explicit.values, inc.values)
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            SamplePath([1.0, 2.0, 3.0], [0.0, -4.0, 1.0], nondecreasing=False)
+        with pytest.raises(DomainError, match="nonnegative"):
+            SamplePath([1.0, 2.0], [-1.0, 0.0])
+        SamplePath([1.0, 2.0, 3.0], [2.0, 0.0, 1.0], nondecreasing=False)
 
     def test_fpn_empirical_variance(self):
         p = FppParams(0.3, 1.0)

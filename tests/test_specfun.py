@@ -23,12 +23,12 @@ INC_BETA_05_15_03 = 1.0378973098592882836
 
 class TestBetaFn:
     def test_known_values(self):
-        assert beta_fn(1, 1) == pytest.approx(1.0, rel=1e-15)
-        assert beta_fn(1, 2) == pytest.approx(0.5, rel=1e-15)
-        assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
+        assert beta_fn(1, 1) == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert beta_fn(1, 2) == pytest.approx(0.5, rel=1e-15, abs=0)
+        assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14, abs=0)
 
     def test_symmetry(self):
-        assert beta_fn(0.3, 1.7) == pytest.approx(beta_fn(1.7, 0.3), rel=1e-14)
+        assert beta_fn(0.3, 1.7) == pytest.approx(beta_fn(1.7, 0.3), rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -40,16 +40,16 @@ class TestIncBeta:
         assert inc_beta(0.4, 1.4, 0.0) == 0.0
 
     def test_full_integral_equals_beta(self):
-        assert inc_beta(0.5, 1.5, 1.0) == pytest.approx(math.pi / 2, rel=1e-13)
+        assert inc_beta(0.5, 1.5, 1.0) == pytest.approx(math.pi / 2, rel=1e-13, abs=0)
         for a, b in [(0.3, 0.9), (2.5, 3.5), (1.0, 2.0)]:
-            assert inc_beta(a, b, 1.0) == pytest.approx(beta_fn(a, b), rel=1e-13)
+            assert inc_beta(a, b, 1.0) == pytest.approx(beta_fn(a, b), rel=1e-13, abs=0)
 
     def test_polynomial_case(self):
         # B(1,2;x) = x - x^2/2
-        assert inc_beta(1.0, 2.0, 0.5) == pytest.approx(0.375, rel=1e-14)
+        assert inc_beta(1.0, 2.0, 0.5) == pytest.approx(0.375, rel=1e-14, abs=0)
 
     def test_golden(self):
-        assert inc_beta(0.5, 1.5, 0.3) == pytest.approx(INC_BETA_05_15_03, rel=1e-12)
+        assert inc_beta(0.5, 1.5, 0.3) == pytest.approx(INC_BETA_05_15_03, rel=1e-12, abs=0)
 
     @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0),
            st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -66,14 +66,14 @@ class TestIncBeta:
             # tail evaluated by quadrature on the reflected variable
             tail = adaptive_quad(lambda w: (1 - w) ** (a - 1) * w ** (b - 1),
                                  0.0, 1.0 - x) if x < 1.0 else 0.0
-            assert inc_beta(a, b, x) + tail == pytest.approx(beta_fn(a, b), rel=1e-10)
+            assert inc_beta(a, b, x) + tail == pytest.approx(beta_fn(a, b), rel=1e-10, abs=0)
 
     def test_tail_matches_difference(self):
         # the reflection B(b, a; y) = B(a, b) - B(a, b; 1 - y) gives the upper
         # tail without cancellation (the FPP factorial moment relies on it)
         a, b, y = 0.5, 1.5, 1e-3
         assert inc_beta(b, a, y) == pytest.approx(
-            beta_fn(a, b) - inc_beta(a, b, 1.0 - y), rel=1e-9)
+            beta_fn(a, b) - inc_beta(a, b, 1.0 - y), rel=1e-9, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -84,20 +84,22 @@ class TestIncBeta:
 
 class TestAdaptiveQuad:
     def test_linear(self):
-        assert adaptive_quad(lambda u: u, 0, 1) == pytest.approx(0.5, rel=1e-12)
+        assert adaptive_quad(lambda u: u, 0, 1) == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_integrable_singularity(self):
-        assert adaptive_quad(lambda u: u ** -0.5, 0, 1) == pytest.approx(2.0, rel=1e-12)
+        assert adaptive_quad(lambda u: u ** -0.5, 0, 1) == pytest.approx(
+            2.0, rel=1e-12, abs=0)
 
     def test_strong_singularity(self):
-        assert adaptive_quad(lambda u: u ** -0.9, 0, 1) == pytest.approx(10.0, rel=1e-10)
+        assert adaptive_quad(lambda u: u ** -0.9, 0, 1) == pytest.approx(
+            10.0, rel=1e-10, abs=0)
 
     def test_cross_oracle_against_inc_beta(self):
         val = adaptive_quad(lambda u: u ** -0.5 * (1 - u) ** 0.5, 0, 0.3)
-        assert val == pytest.approx(inc_beta(0.5, 1.5, 0.3), rel=1e-10)
+        assert val == pytest.approx(inc_beta(0.5, 1.5, 0.3), rel=1e-10, abs=0)
 
     def test_smooth(self):
-        assert adaptive_quad(np.sin, 0, math.pi) == pytest.approx(2.0, rel=1e-12)
+        assert adaptive_quad(np.sin, 0, math.pi) == pytest.approx(2.0, rel=1e-12, abs=0)
 
     def test_nonintegrable_raises(self):
         with pytest.raises(ConvergenceError):
@@ -218,13 +220,14 @@ class TestCachedQuadNodes:
 
 class TestGammaFracMoment:
     def test_first_two_moments(self):
-        assert gamma_frac_moment(1.0, 2.0, 3.0) == pytest.approx(1.5, rel=1e-14)
-        assert gamma_frac_moment(2.0, 2.0, 3.0) == pytest.approx(3.0 * 4.0 / 4.0, rel=1e-14)
+        assert gamma_frac_moment(1.0, 2.0, 3.0) == pytest.approx(1.5, rel=1e-14, abs=0)
+        assert gamma_frac_moment(2.0, 2.0, 3.0) == pytest.approx(
+            3.0 * 4.0 / 4.0, rel=1e-14, abs=0)
 
     def test_half_moment(self):
         # Gamma(2.5)/Gamma(2) = 1.5*sqrt(pi)/2
         assert gamma_frac_moment(0.5, 1.0, 2.0) == pytest.approx(
-            1.5 * math.sqrt(math.pi) / 2.0, rel=1e-14)
+            1.5 * math.sqrt(math.pi) / 2.0, rel=1e-14, abs=0)
 
     def test_large_shape_power_limit(self):
         pt = 1e6
@@ -239,13 +242,13 @@ class TestGammaFracMoment:
 class TestPowerDiff:
     def test_unit_exponent(self):
         for x in (1.0, 2.0, 10.0, 1e7):
-            assert power_diff(x, 1.0) == pytest.approx(1.0, rel=1e-14)
+            assert power_diff(x, 1.0) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_at_one(self):
         assert power_diff(1.0, 0.7) == 1.0
 
     def test_sqrt2(self):
-        assert power_diff(2.0, 0.5) == pytest.approx(math.sqrt(2) - 1, rel=1e-14)
+        assert power_diff(2.0, 0.5) == pytest.approx(math.sqrt(2) - 1, rel=1e-14, abs=0)
 
     def test_large_x_asymptote(self):
         x, y = 1e8, 0.3
@@ -259,8 +262,9 @@ class TestPowerDiff:
 
     def test_gap_matches_diff(self):
         # (u+delta)^y - u^y at u = x-1, delta = 1 equals x^y - (x-1)^y
-        assert power_gap(4.0, 1.0, 0.3) == pytest.approx(power_diff(5.0, 0.3), rel=1e-13)
-        assert power_gap(0.0, 2.0, 0.5) == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert power_gap(4.0, 1.0, 0.3) == pytest.approx(
+            power_diff(5.0, 0.3), rel=1e-13, abs=0)
+        assert power_gap(0.0, 2.0, 0.5) == pytest.approx(math.sqrt(2), rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
