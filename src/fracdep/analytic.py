@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, NumericalError
-from .specfun import (DEFAULT_QUAD, QuadConfig, _float_or_array, adaptive_quad,
-                      beta_fn, gamma_frac_moment, inc_beta, power_diff, power_gap)
+from .specfun import (DEFAULT_QUAD, QuadConfig, _float_or_array, _special,
+                      adaptive_quad, beta_fn, gamma_frac_moment, inc_beta,
+                      power_diff, power_gap)
 
 __all__ = [
     "LRD", "SRD", "UNCLASSIFIED",
@@ -74,22 +74,37 @@ class FppParams:
 
     @property
     def q(self) -> float:
-        return self.lam / math.exp(sp.gammaln(1.0 + self.beta))
+        return self.lam / math.exp(_special().gammaln(1.0 + self.beta))
 
     @property
     def d(self) -> float:
-        return self.beta * self.q ** 2 * beta_fn(self.beta, 1.0 + self.beta)
+        return self._finite("d", lambda: self.beta * self.q ** 2
+                            * beta_fn(self.beta, 1.0 + self.beta))
 
     @property
     def c(self) -> float:
-        return 2.0 * self.beta * self.q ** 2 / (self.beta + 1.0)
+        return self._finite("c", lambda: 2.0 * self.beta * self.q ** 2 / (self.beta + 1.0))
 
     @property
     def R(self) -> float:
         # 1/Gamma(2) - 1/Gamma(1)^2 vanishes exactly at beta == 1
         b = self.beta
-        return (self.lam ** 2 / b) * (math.exp(-sp.gammaln(2.0 * b))
-                                      - math.exp(-2.0 * sp.gammaln(b)) / b)
+        gammaln = _special().gammaln
+        return self._finite("R", lambda: (self.lam ** 2 / b)
+                            * (math.exp(-gammaln(2.0 * b)) - math.exp(-2.0 * gammaln(b)) / b))
+
+    def _finite(self, name: str, formula) -> float:
+        """formula(), or NumericalError where it overflows float64 (a Python
+        float ** raises OverflowError; * and / give inf)."""
+        try:
+            value = formula()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"FPP constant {name} overflows float64 at beta={self.beta}, "
+                f"lambda={self.lam}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -462,7 +477,8 @@ def nb_pmf(params: FnbpParams, n: int, t: float) -> float:
     t = _check_time("t", t, allow_zero=False)
     pt = params.gamma.p * t
     eta = params.eta
-    logp = (sp.gammaln(n + pt) - sp.gammaln(n + 1.0) - sp.gammaln(pt)
+    gammaln = _special().gammaln
+    logp = (gammaln(n + pt) - gammaln(n + 1.0) - gammaln(pt)
             + n * math.log(eta) + pt * math.log1p(-eta))
     return math.exp(logp)
 
@@ -502,9 +518,10 @@ def _beta_mixture_expectation(params: FnbpParams, s: float, t: float,
     b = params.fpp.beta
     p1 = params.gamma.p * s
     p2 = params.gamma.p * (t - s)
+    betaincc = _special().betaincc
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        return v ** (b - 1.0) * (1.0 - v) ** b * sp.betaincc(p1, p2, v)
+        return v ** (b - 1.0) * (1.0 - v) ** b * betaincc(p1, p2, v)
 
     return adaptive_quad(integrand, 0.0, 1.0, cfg)
 

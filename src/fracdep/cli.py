@@ -97,10 +97,27 @@ def _emit(args, meta: dict, columns: Sequence[str], rows, footers: Sequence[str]
         lines.extend(f"# {f}" for f in footers)
         text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_common(args) -> None:
+    """Reject a bad --threads or --out before any work is done; a write that
+    still fails later is caught in _emit."""
+    if args.threads < 0:
+        raise DomainError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
+    out = args.out
+    if out and out != "-":
+        parent = os.path.dirname(out) or "."
+        if os.path.isdir(out):
+            raise DomainError(f"cannot write --out {out!r}: it is a directory")
+        if not os.path.isdir(parent):
+            raise DomainError(f"cannot write --out {out!r}: no directory {parent!r}")
 
 
 def _resolve_threads(threads: int) -> int:
@@ -240,7 +257,10 @@ def _read_curve(stream) -> CorrelationCurve:
         if header is None:
             header = [c.strip() for c in line.split(",")]
             continue
-        data.append([float(v) for v in line.split(",")])
+        try:
+            data.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise DomainError(f"malformed curve row {line!r}") from None
     if header is None or not data:
         raise DomainError("no curve data found on input")
     cols = {name: np.array([row[i] for row in data]) for i, name in enumerate(header)}
@@ -254,16 +274,20 @@ def _read_curve(stream) -> CorrelationCurve:
                             std_error=cols.get("std_error"), source=source)
 
 
+def _read_infile(path: str) -> CorrelationCurve:
+    try:
+        if path == "-":
+            return _read_curve(sys.stdin)
+        with open(path, "r", encoding="utf-8") as stream:
+            return _read_curve(stream)
+    except OSError as exc:
+        raise DomainError(f"cannot read --in {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"cannot read --in {path!r}: not UTF-8 text") from None
+
+
 def cmd_classify(args) -> int:
-    if args.infile is not None:
-        stream = sys.stdin if args.infile == "-" else open(args.infile, "r", encoding="utf-8")
-        try:
-            curve = _read_curve(stream)
-        finally:
-            if stream is not sys.stdin:
-                stream.close()
-    else:
-        curve = _make_curve(args)
+    curve = _make_curve(args) if args.infile is None else _read_infile(args.infile)
     fit = fit_power_law(curve, t_min_cutoff=args.t_min)
     cols = ["d_hat", "c_hat", "r_squared", "label", "n_points"]
     row = [fit.d_hat, fit.c_hat, fit.r_squared, fit.label, fit.n_points]
@@ -391,6 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_common(args)
         return args.func(args)
     except (DomainError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)

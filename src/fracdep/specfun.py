@@ -1,12 +1,13 @@
 """Special functions and deterministic quadrature.
 
-Everything here is pure and deterministic; the heavy lifting for the
+Everything here is pure and deterministic.  The heavy lifting for the
 gamma/beta family is delegated to scipy.special (log-space throughout so
-shape parameters up to 1e6 stay finite), while the quadrature is an
-independent double-exponential scheme used as the oracle for the
-closed-form results elsewhere in the package.  The quadrature keeps its
-interval-independent node factors in read-only per-level tables, built on
-first use; they change no result.
+shape parameters up to 1e6 stay finite), which is imported on first use,
+through :func:`_special`: a process that never evaluates a gamma or beta
+function never loads it.  The quadrature is an independent
+double-exponential scheme used as the oracle for the closed-form results
+elsewhere in the package.  It keeps its interval-independent node factors
+in read-only per-level tables, built on first use; they change no result.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 
@@ -57,6 +57,20 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
+# scipy.special once the first gamma/beta value is asked for; two threads that
+# race here both store the one module object the import system holds
+_SPECIAL = None
+
+
+def _special():
+    """scipy.special, imported on the first call and cached after that."""
+    global _SPECIAL
+    if _SPECIAL is None:
+        from scipy import special
+        _SPECIAL = special
+    return _SPECIAL
+
+
 def _require_positive(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -73,7 +87,8 @@ def beta_fn(a: float, b: float) -> float:
     """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     a = _require_positive("a", a)
     b = _require_positive("b", b)
-    return math.exp(sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b))
+    gammaln = _special().gammaln
+    return math.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
 
 
 def inc_beta(a: float, b: float, x) -> float:
@@ -87,7 +102,7 @@ def inc_beta(a: float, b: float, x) -> float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > 1.0):
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    return _float_or_array(sp.betainc(a, b, xa) * beta_fn(a, b))
+    return _float_or_array(_special().betainc(a, b, xa) * beta_fn(a, b))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -198,7 +213,8 @@ def gamma_frac_moment(m: float, alpha: float, pt: float) -> float:
     m = _require_positive("m", m)
     alpha = _require_positive("alpha", alpha)
     pt = _require_positive("pt", pt)
-    return math.exp(sp.gammaln(pt + m) - sp.gammaln(pt) - m * math.log(alpha))
+    gammaln = _special().gammaln
+    return math.exp(gammaln(pt + m) - gammaln(pt) - m * math.log(alpha))
 
 
 def power_diff(x, y):

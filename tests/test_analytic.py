@@ -26,7 +26,7 @@ from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fpp_increment_factorial_moment,
                               fpp_increment_variance, fpp_mean, fpp_variance,
                               nb_pmf)
-from fracdep.errors import DomainError
+from fracdep.errors import DomainError, NumericalError
 from fracdep.specfun import adaptive_quad, inc_beta, power_diff
 
 # mpmath oracle values (dps=40)
@@ -77,6 +77,36 @@ class TestDerivedConstants:
             GammaParams(0.0, 1.0)
         with pytest.raises(DomainError):
             NoiseParams(FppParams(0.5, 1.0), 0.0)
+
+
+class TestConstantOverflow:
+    """lambda^2 and q^2 pass float64's 1.8e308 from lambda ~ 1.3e154: a Python
+    float ** then raises OverflowError, and lambda^2 / beta gives inf."""
+
+    @pytest.mark.parametrize("name,lam", [
+        ("R", 1e154),   # lambda^2 finite, lambda^2 / beta = inf
+        ("R", 1e160), ("c", 1e160), ("d", 1e160),
+        ("R", 1e200), ("c", 1e200), ("d", 1e200),
+        ("R", 1e308), ("c", 1e308), ("d", 1e308),
+    ])
+    def test_raises_numerical_error(self, name, lam):
+        with pytest.raises(NumericalError, match=f"constant {name} overflows"):
+            getattr(FppParams(0.5, lam), name)
+
+    def test_moments(self):
+        big = FppParams(0.5, 1e200)
+        assert fpp_mean(big, 1.0) == pytest.approx(1e200 * fpp_mean(FppParams(0.5, 1.0), 1.0),
+                                                   rel=1e-14, abs=0)
+        with pytest.raises(NumericalError):
+            fpp_variance(big, 1.0)
+        with pytest.raises(NumericalError):
+            fnbp_variance(FnbpParams(big, GammaParams(1.0, 1.0)), 1.0)
+
+    def test_large_finite_constants_unchanged(self):
+        one, big = FppParams(0.5, 1.0), FppParams(0.5, 1e150)
+        for name in ("R", "c", "d"):
+            assert getattr(big, name) == pytest.approx(1e300 * getattr(one, name),
+                                                       rel=1e-14, abs=0)
 
 
 class TestPoissonReduction:

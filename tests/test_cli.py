@@ -327,6 +327,91 @@ class TestSimulate:
         assert len(doc["data"]) == 4
 
 
+class TestBadInputExitCodes:
+    SIMULATE = ("simulate", "--process", "fpp", "--beta", "0.5", "--lambda", "1",
+                "--t-grid", "1,2", "--reps", "3")
+    CORR = ("corr", "--process", "fpp", "--mode", "empirical", "--beta", "0.5",
+            "--lambda", "1", "--s", "1", "--t-grid", "5,10", "--reps", "300",
+            "--seed", "21", "--stable-step", "0.02")
+
+    @pytest.mark.parametrize("extra", [(), ("--alpha", "1", "--p", "1")],
+                             ids=["fpp", "fnbp"])
+    def test_overflowing_moment_exit_3(self, capsys, extra):
+        process = "fnbp" if extra else "fpp"
+        code, out, err = run_cli(capsys, "moments", "--process", process,
+                                 "--beta", "0.5", "--lambda", "1e200", *extra,
+                                 "--t", "1")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_infile_exit_2(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run_cli(capsys, "classify", "--in", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert repr(path) in err
+
+    def test_binary_infile_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "curve.bin"
+        path.write_bytes(b"\xff\xfe\x00t,corr\n")
+        code, out, err = run_cli(capsys, "classify", "--in", str(path))
+        assert code == 2
+        assert err == f"error: cannot read --in {str(path)!r}: not UTF-8 text\n"
+
+    def test_malformed_curve_row_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("t,corr\n10.0,abc\n"))
+        code, out, err = run_cli(capsys, "classify", "--in", "-")
+        assert code == 2
+        assert err.count("\n") == 1 and "'10.0,abc'" in err
+
+    @pytest.mark.parametrize("name", [("no_dir", "x.csv"), ("file.txt", "x.csv"), ()],
+                             ids=["missing_dir", "parent_is_file", "is_dir"])
+    def test_unwritable_out_exit_2_before_simulating(self, capsys, monkeypatch,
+                                                      tmp_path, name):
+        (tmp_path / "file.txt").write_text("")
+        path = str(tmp_path.joinpath(*name))
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(cli, "sample_process_path", never)
+        code, out, err = run_cli(capsys, *self.SIMULATE, "--out", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert repr(path) in err
+
+    def test_failed_write_exit_2(self, capsys, monkeypatch, tmp_path):
+        path = str(tmp_path / "x.csv")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, out, err = run_cli(capsys, *self.SIMULATE, "--out", path)
+        assert code == 2
+        assert err == f"error: cannot write --out {path!r}: Permission denied\n"
+
+    @pytest.mark.parametrize("argv", ["SIMULATE", "CORR"])
+    def test_negative_threads_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *getattr(self, argv), "--threads", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--threads" in err
+
+    def test_accepted_threads_same_rows(self, capsys):
+        rows = set()
+        for threads in ("0", "1", "2"):
+            code, out, _ = run_cli(capsys, *self.CORR, "--threads", threads)
+            assert code == 0
+            rows.add(tuple(data_rows(out)))
+        assert len(rows) == 1
+
+
 class TestDeterminismAcrossThreads:
     def test_empirical_corr_threads(self, capsys):
         base = ("corr", "--process", "fpp", "--mode", "empirical",
