@@ -14,7 +14,8 @@ from .errors import (ConvergenceError, DomainError, GridError, NumericalError,
 from .estimate import (CorrelationCurve, DeltaTable, ExponentFit,
                        MonteCarloEstimate, analytic_curve, delta_empirical,
                        fit_power_law, mc_correlation, mc_marginal_moments)
-from .sim import PathSpec, SamplePath, Seed, increment_path, sample_process_path
+from .sim import (PathSpec, SamplePath, Seed, increment_path, sample_batch,
+                  sample_process_path)
 from .specfun import QuadConfig, adaptive_quad
 
 __version__ = "0.1.0"
@@ -24,7 +25,8 @@ __all__ = [
     "AsymptoticValue", "FppParams", "GammaParams", "FnbpParams", "NoiseParams",
     "classify_exponent",
     "QuadConfig", "adaptive_quad",
-    "Seed", "SamplePath", "PathSpec", "sample_process_path", "increment_path",
+    "Seed", "SamplePath", "PathSpec", "sample_batch", "sample_process_path",
+    "increment_path",
     "CorrelationCurve", "ExponentFit", "DeltaTable", "MonteCarloEstimate",
     "analytic_curve", "mc_correlation", "mc_marginal_moments",
     "fit_power_law", "delta_empirical",

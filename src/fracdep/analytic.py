@@ -77,6 +77,11 @@ class FppParams:
         return self.lam / math.exp(_special().gammaln(1.0 + self.beta))
 
     @property
+    def q2(self) -> float:
+        """q^2, computed as q * q."""
+        return self._finite("q^2", lambda: self.q * self.q)
+
+    @property
     def d(self) -> float:
         return self._finite("d", lambda: self.beta * self.q ** 2
                             * beta_fn(self.beta, 1.0 + self.beta))
@@ -196,16 +201,33 @@ def _check_time(name: str, t: float, allow_zero: bool = True) -> float:
     return t
 
 
+def _finite_moment(name: str, formula, params: FppParams, at: str) -> float:
+    """formula(), or NumericalError where it overflows float64 (a Python
+    float ** raises OverflowError; * and + give inf)."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} overflows float64 at {at}, beta={params.beta}, "
+                             f"lambda={params.lam}")
+    return value
+
+
 def fpp_mean(params: FppParams, t: float) -> float:
     """E[N_b(t)] = q t^b."""
     t = _check_time("t", t)
-    return params.q * t ** params.beta
+    return _finite_moment("FPP mean", lambda: params.q * t ** params.beta,
+                          params, f"t={t}")
 
 
 def fpp_variance(params: FppParams, t: float) -> float:
     """Var[N_b(t)] = q t^b + R t^{2b}."""
     t = _check_time("t", t)
-    return params.q * t ** params.beta + params.R * t ** (2.0 * params.beta)
+    return _finite_moment(
+        "FPP variance",
+        lambda: params.q * t ** params.beta + params.R * t ** (2.0 * params.beta),
+        params, f"t={t}")
 
 
 def fpp_F(params: FppParams, s: float, t: float) -> float:
@@ -217,8 +239,9 @@ def fpp_F(params: FppParams, s: float, t: float) -> float:
     b = params.beta
     if s == 0.0:
         return 0.0
-    return (b * t ** (2.0 * b) * inc_beta(b, 1.0 + b, s / t)
-            - (s * t) ** b)
+    return _finite_moment("F(b; s, t)", lambda: b * t ** (2.0 * b)
+                          * inc_beta(b, 1.0 + b, s / t) - (s * t) ** b,
+                          params, f"s={s}, t={t}")
 
 
 def fpp_covariance(params: FppParams, s: float, t: float) -> float:
@@ -229,10 +252,11 @@ def fpp_covariance(params: FppParams, s: float, t: float) -> float:
         s, t = t, s
     if s == 0.0:
         return 0.0
-    b, q = params.beta, params.q
-    return (q * s ** b
-            + q * q * (b * s ** (2.0 * b) * beta_fn(b, 1.0 + b)
-                       + fpp_F(params, s, t)))
+    b, q, q2 = params.beta, params.q, params.q2
+    return _finite_moment("FPP covariance", lambda: q * s ** b
+                          + q2 * (b * s ** (2.0 * b) * beta_fn(b, 1.0 + b)
+                                  + fpp_F(params, s, t)),
+                          params, f"s={s}, t={t}")
 
 
 def fpp_increment_factorial_moment(params: FppParams, s: float, t: float):
@@ -246,6 +270,7 @@ def fpp_increment_factorial_moment(params: FppParams, s: float, t: float):
     sa = np.asarray(s, dtype=float)
     if np.any(sa < 0.0) or np.any(ta < sa):
         raise DomainError(f"need 0 <= s <= t, got s={s}, t={t}")
+    params.q2  # NumericalError where q^2 overflows; 2 b q q keeps its order below
     b, q = params.beta, params.q
     with np.errstate(invalid="ignore", divide="ignore"):
         xc = np.where(ta > 0.0, (ta - sa) / ta, 0.0)
@@ -291,11 +316,11 @@ def fpn_covariance(noise: NoiseParams, s: float, t: float,
             f"windows overlap: need t >= s + delta, got s={s}, delta={delta}, t={t}")
     if params.beta == 1.0:
         return 0.0  # Poisson increments over disjoint windows are independent
-    b, q = params.beta, params.q
+    b, q2 = params.beta, params.q2
     g_t = power_gap(t, delta, b)
     integral = adaptive_quad(
         lambda r: r ** (b - 1.0) * (power_gap(t - r, delta, b) - g_t), s, s + delta, cfg)
-    return q * q * b * integral
+    return q2 * b * integral
 
 
 def fpn_covariance_asymptotic(noise: NoiseParams, s: float, t: float) -> AsymptoticValue:
@@ -310,6 +335,7 @@ def fpn_covariance_asymptotic(noise: NoiseParams, s: float, t: float) -> Asympto
     t = _check_time("t", t)
     if t <= s + delta:
         raise DomainError(f"need t > s + delta, got s={s}, delta={delta}, t={t}")
+    params.q2  # NumericalError where q^2 overflows; b q q keeps its order below
     b, q = params.beta, params.q
     K = b * q * q * delta * power_gap(s, delta, b + 1.0)
     exponent = -(b + 2.0)
@@ -421,12 +447,12 @@ def _unit_window_tail(params: FppParams, cut: int, hi: int) -> float:
     the squared gap q^2 sum_n (sum_{k+l=n} a_k a_l) j^(2b-n), with
     a_k = (-1)^(k+1) binom(b, k) the coefficients of j^b - (j-1)^b.
     """
-    b, q = params.beta, params.q
+    b, q, q2 = params.beta, params.q, params.q2
     k = np.arange(_DELTA_TERMS, dtype=float)
     rising = np.cumprod(np.concatenate(([1.0], (k[1:] - b) / k[1:])))  # (1-b)_k/k!
     a_k = np.cumprod(np.concatenate(([b], (k[1:] - b) / (k[1:] + 1.0))))  # k = 1, 2, ...
     coef = np.concatenate((2.0 * b * q * q * rising / (1.0 + b + k),
-                           -q * q * np.convolve(a_k, a_k)[:_DELTA_TERMS]))
+                           -q2 * np.convolve(a_k, a_k)[:_DELTA_TERMS]))
     expo = np.concatenate((b - 1.0 - k, 2.0 * b - 2.0 - k))
     return (q * power_gap(float(cut), float(hi - cut), b)
             + float(coef @ _power_sums(cut + 1, hi, expo)))
@@ -486,7 +512,9 @@ def nb_pmf(params: FnbpParams, n: int, t: float) -> float:
 def fnbp_mean(params: FnbpParams, t: float) -> float:
     """E[Q_b(t)] = q E[Y^b(t)] = q Gamma(pt+b) / (alpha^b Gamma(pt))."""
     t = _check_time("t", t, allow_zero=False)
-    return params.fpp.q * params.clock_moment(params.fpp.beta, t)
+    return _finite_moment(
+        "FNBP mean", lambda: params.fpp.q * params.clock_moment(params.fpp.beta, t),
+        params.fpp, f"t={t}")
 
 
 def fnbp_variance(params: FnbpParams, t: float) -> float:
@@ -496,7 +524,9 @@ def fnbp_variance(params: FnbpParams, t: float) -> float:
     q = params.fpp.q
     m1 = params.clock_moment(b, t)
     m2 = params.clock_moment(2.0 * b, t)
-    out = q * m1 * (1.0 - q * m1) + 2.0 * params.fpp.d * m2
+    out = _finite_moment("FNBP variance",
+                         lambda: q * m1 * (1.0 - q * m1) + 2.0 * params.fpp.d * m2,
+                         params.fpp, f"t={t}")
     if not (out >= 0.0):
         raise NumericalError(
             f"FNBP variance formula returned {out} at t={t}; parameter regime "
@@ -546,14 +576,14 @@ def fnbp_covariance(params: FnbpParams, s: float, t: float,
     if s == t:
         return fnbp_variance(params, t)
     b = params.fpp.beta
-    q = params.fpp.q
+    q, q2 = params.fpp.q, params.fpp.q2
     m1s = params.clock_moment(b, s)
     m2s = params.clock_moment(2.0 * b, s)
     m1t = params.clock_moment(b, t)
     m2t = params.clock_moment(2.0 * b, t)
     eb = _beta_mixture_expectation(params, s, t, cfg)
     return (q * m1s + params.fpp.d * m2s
-            - q * q * m1s * m1t + q * q * b * m2t * eb)
+            - q2 * m1s * m1t + q2 * b * m2t * eb)
 
 
 def fnbp_correlation(params: FnbpParams, s: float, t: float,
@@ -594,9 +624,9 @@ def fnbn_asymptotics(noise: NoiseParams, s: float, t: float) -> FnbnAsymptotics:
         raise DomainError(
             f"windows overlap: need t >= s + delta, got s={s}, delta={delta}, t={t}")
     b = params.fpp.beta
-    q = params.fpp.q
+    q, q2 = params.fpp.q, params.fpp.q2
     ratio = (params.gamma.p / params.gamma.alpha) ** b
-    cov_pref = (q * q * delta * ratio * b * (1.0 - b)
+    cov_pref = (q2 * delta * ratio * b * (1.0 - b)
                 * ((s + delta) * params.clock_moment(b, s + delta)
                    - s * params.clock_moment(b, s)))
     var_pref = b * delta * q * ratio

@@ -26,7 +26,7 @@ from .errors import (ConvergenceError, DomainError, GridError, NumericalError,
                      ResourceCapError)
 from .estimate import (CorrelationCurve, analytic_curve, delta_empirical,
                        fit_power_law, mc_correlation)
-from .sim import PROCESSES, PathSpec, Seed, sample_process_path
+from .sim import PROCESSES, PathSpec, Seed, sample_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -331,11 +331,9 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise DomainError(f"--reps must be >= 1, got {args.reps}")
     spec = _build_path_spec(args, args.process, t_grid)
-    rows = []
-    for rep in range(args.reps):
-        path = sample_process_path(spec, Seed(args.seed, rep))
-        rows.extend((rep, float(t), float(v))
-                    for t, v in zip(path.times, path.values))
+    paths = sample_batch(spec, Seed(args.seed), range(args.reps))
+    rows = [(rep, float(t), float(v))
+            for rep, path in enumerate(paths) for t, v in zip(spec.t_grid, path)]
     _emit(args, _meta(args, t_grid=args.t_grid), ("replication", "t", "value"), rows)
     return EXIT_OK
 

@@ -20,9 +20,10 @@ import numpy as np
 from . import analytic
 from .analytic import (FnbpParams, FppParams, NoiseParams, classify_exponent)
 from .errors import DomainError, NumericalError
-# increment_path is unused here but stays importable as
-# fracdep.estimate.increment_path
-from .sim import PathSpec, Seed, increment_path, sample_process_path  # noqa: F401
+# increment_path and sample_process_path are unused here but stay
+# importable as fracdep.estimate.increment_path and .sample_process_path
+from .sim import (PathSpec, Seed, increment_path, sample_batch,  # noqa: F401
+                  sample_process_path)
 from .specfun import QuadConfig
 
 __all__ = [
@@ -144,25 +145,17 @@ def analytic_curve(kind: str, params, s: float, t_grid,
 def _run_replications(spec: PathSpec, reps: int, seed: Seed,
                       threads: int) -> np.ndarray:
     """The reps x len(spec.t_grid) matrix whose row i is the path of
-    replication i; thread-count invariant."""
-    out = np.empty((reps, len(spec.t_grid)))
-
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = sample_process_path(spec, seed.child(i)).values
-
+    replication i; each thread samples a contiguous range of streams, so
+    the matrix is thread-count invariant."""
     if threads in (0, None):
         threads = 1
     if threads <= 1 or reps < 256:
-        work(0, reps)
-        return out
+        return sample_batch(spec, seed, range(reps))
     bounds = np.linspace(0, reps, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, bounds[k], bounds[k + 1])
-                   for k in range(threads)]
-        for f in futures:
-            f.result()
-    return out
+        parts = pool.map(lambda lo, hi: sample_batch(spec, seed, range(lo, hi)),
+                         bounds[:-1], bounds[1:])
+        return np.concatenate(list(parts))
 
 
 def _bootstrap_counts(seed: Seed, reps: int, bootstrap: int) -> np.ndarray:

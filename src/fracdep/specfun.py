@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericalError
 
 __all__ = [
     "QuadConfig",
@@ -214,7 +214,11 @@ def gamma_frac_moment(m: float, alpha: float, pt: float) -> float:
     alpha = _require_positive("alpha", alpha)
     pt = _require_positive("pt", pt)
     gammaln = _special().gammaln
-    return math.exp(gammaln(pt + m) - gammaln(pt) - m * math.log(alpha))
+    try:
+        return math.exp(gammaln(pt + m) - gammaln(pt) - m * math.log(alpha))
+    except OverflowError:
+        raise NumericalError(f"E[Y^{m}] overflows float64 at alpha={alpha}, "
+                             f"pt={pt}") from None
 
 
 def power_diff(x, y):

@@ -109,6 +109,90 @@ class TestConstantOverflow:
                                                        rel=1e-14, abs=0)
 
 
+class TestOverflowingMoments:
+    """Moments and q^2-scaled covariances raise NumericalError where float64
+    overflows, instead of returning inf or nan; finite values are unchanged
+    to the bit."""
+
+    BIG = FppParams(0.5, 1e200)  # q^2 overflows, q does not
+
+    @pytest.mark.parametrize("fn", [
+        lambda: fpp_mean(FppParams(1.0, 1e200), 1e200),
+        lambda: fpp_variance(FppParams(0.5, 1e150), 1e20),
+        lambda: fnbp_mean(FnbpParams(FppParams(1.0, 1e200), GammaParams(1e-200, 1.0)), 1.0),
+        lambda: fnbp_variance(FnbpParams(FppParams(0.5, 1e150), GammaParams(2e-12, 1e-3)), 1.0),
+        lambda: fnbp_variance(FnbpParams(FppParams(0.5, 1.0), GammaParams(1e-320, 1e-10)), 1.0),
+        # t^(2b) itself overflows: a Python float ** raises OverflowError
+        lambda: fpp_variance(FppParams(0.9, 1.0), 1e200),
+        lambda: fpp_covariance(FppParams(0.9, 1.0), 1e200, 1e201),
+        lambda: fpp_covariance(FppParams(0.9, 1.0), 1.0, 1e201),
+        lambda: fpp_F(FppParams(0.9, 1.0), 1.0, 1e201),
+    ], ids=["fpp_mean", "fpp_variance", "fnbp_mean", "fnbp_variance", "clock_moment",
+            "fpp_variance_power", "fpp_covariance_power", "fpp_covariance_F_power",
+            "fpp_F_power"])
+    def test_moments_raise(self, fn):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            fn()
+
+    @pytest.mark.parametrize("fn", [
+        lambda p: fpp_covariance(p, 1.0, 10.0),
+        lambda p: fpp_increment_factorial_moment(p, 1.0, 3.0),
+        lambda p: fpn_covariance(NoiseParams(p, 1.0), 1.0, 10.0),
+        lambda p: fpn_covariance_asymptotic(NoiseParams(p, 1.0), 2.0, 10.0),
+        lambda p: fpn_variance(NoiseParams(p, 1.0), 2.0),
+        lambda p: fpn_correlation(NoiseParams(p, 1.0), 1.0, 10.0),
+        lambda p: fnbn_asymptotics(NoiseParams(FnbpParams(p, GammaParams(1.0, 1.0)), 1.0),
+                                   1.0, 100.0),
+    ], ids=["fpp_covariance", "factorial_moment", "fpn_covariance",
+            "fpn_covariance_asymptotic", "fpn_variance", "fpn_correlation",
+            "fnbn_asymptotics"])
+    def test_q_squared_raises(self, fn):
+        with pytest.raises(NumericalError, match="constant q\\^2 overflows"):
+            fn(self.BIG)
+
+    # float.hex of the values before q^2 was checked, at lambda = 1 and 1e150
+    UNCHANGED = {
+        "fpp_mean": ("0x1.20dd750429b6dp+1", "0x1.60fc5aade57abp+499"),
+        "fpp_variance": ("0x1.daea6e278d2e9p+0", "0x1.15d09edf31278p+996"),
+        "fpp_covariance": ("0x1.07b596d64fbe5p+1", "0x1.6436a378b9cdap+996"),
+        "factorial_moment": ("0x1.d93145340b6e8p+0", "0x1.614a67e1f4fbcp+997"),
+        "fpn_covariance": ("0x1.a51c44164446fp-8", "0x1.3a67d6e7dd906p+989"),
+        "fpn_covariance_asymptotic": ("0x1.81e1152f2891ap+0", "0x1.201a04dedf068p+997"),
+        "fpn_variance": ("0x1.8f89497c1cf07p-1", "0x1.42679996ddaccp+995"),
+        "delta_10": ("0x1.e16b62597b506p+0", "0x1.438d19f340abbp+1"),
+        "delta_1000": ("0x1.c6e4bf1df0369p+3", "0x1.71647bd0c1467p+4"),
+        "fnbp_mean": ("0x1.5369480174811p+0", "0x1.9ec07d6f81eabp+498"),
+        "fnbp_variance": ("0x1.48b4a400ba404p+1", "0x1.dad8330f09210p+996"),
+        "fnbp_covariance": ("0x1.ffffffffffcc0p+0", "0x1.7e43c880070c8p+996"),
+        "fnbn_cov_prefactor": ("0x1.20dd750429b6dp-1", "0x1.af56f0cf50c6ep+995"),
+    }
+
+    @pytest.mark.parametrize("k,lam", [(0, 1.0), (1, 1e150)])
+    def test_finite_values_unchanged(self, k, lam):
+        half = FppParams(0.5, lam)
+        noise = NoiseParams(half, 1.0)
+        fn2 = FnbpParams(FppParams(0.5, lam), GammaParams(2.0, 1.0))
+        fn1 = FnbpParams(FppParams(0.5, lam), GammaParams(1.0, 1.0))
+        values = {
+            "fpp_mean": fpp_mean(half, 4.0),
+            "fpp_variance": fpp_variance(half, 1.0),
+            "fpp_covariance": fpp_covariance(half, 1.0, 10.0),
+            "factorial_moment": fpp_increment_factorial_moment(half, 1.0, 3.0),
+            "fpn_covariance": fpn_covariance(noise, 1.0, 10.0),
+            "fpn_covariance_asymptotic": fpn_covariance_asymptotic(noise, 2.0, 10.0).prefactor,
+            "fpn_variance": fpn_variance(noise, 2.0),
+            "delta_10": delta_statistic(half, 2, 10),
+            "delta_1000": delta_statistic(half, 2, 1000),
+            "fnbp_mean": fnbp_mean(fn2, 3.0),
+            "fnbp_variance": fnbp_variance(fn2, 3.0),
+            "fnbp_covariance": fnbp_covariance(fn1, 1.0, 50.0),
+            "fnbn_cov_prefactor": fnbn_asymptotics(NoiseParams(fn1, 1.0), 1.0,
+                                                   100.0).cov.prefactor,
+        }
+        assert {name: float(v).hex() for name, v in values.items()} == {
+            name: pair[k] for name, pair in self.UNCHANGED.items()}
+
+
 class TestPoissonReduction:
     def test_mean_variance(self, poisson2):
         assert fpp_mean(poisson2, 3.0) == pytest.approx(6.0, rel=1e-12, abs=0)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from fracdep import cli
+from fracdep.analytic import FnbpParams, FppParams, GammaParams
 from fracdep.cli import _fmt, main, parse_grid
 from fracdep.errors import DomainError
+from fracdep.sim import PathSpec, Seed, sample_process_path
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +245,25 @@ class TestSimulate:
         for row in rows[1:]:
             assert len(row.split(",")) == 3
 
+    def test_rows_equal_per_replication_paths(self, capsys):
+        # default step: each fnbp replication takes its own step
+        argv = ("simulate", "--process", "fnbp", "--beta", "0.5", "--lambda", "1",
+                "--alpha", "1", "--p", "1", "--t-grid", "lin:1:10:10", "--reps", "7",
+                "--seed", "7")
+        outs = set()
+        for threads in ("1", "2"):
+            code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 0
+            outs.add(tuple(data_rows(out)))
+        assert len(outs) == 1
+        rows = [row.split(",") for row in outs.pop()[1:]]
+        spec = PathSpec("fnbp", FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1.0)),
+                        parse_grid("lin:1:10:10"))
+        expected = [(str(rep), float(t), float(v)) for rep in range(7)
+                    for t, v in zip(spec.t_grid,
+                                    sample_process_path(spec, Seed(7, rep)).values)]
+        assert [(rep, float(t), float(v)) for rep, t, v in rows] == expected
+
     def test_paths_nondecreasing(self, capsys):
         _, out, _ = run_cli(capsys, "simulate", "--process", "nb",
                             "--beta", "1", "--lambda", "1", "--alpha", "1",
@@ -285,6 +306,18 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert err.startswith("numerical error:")
+
+    def test_tiny_step_exit_3(self, capsys):
+        # the expected step count overflows a float and step^(1/beta)
+        # underflows: 5e-324^2
+        code, out, err = run_cli(capsys, "simulate", "--process", "fpp",
+                                 "--beta", "0.5", "--lambda", "1",
+                                 "--t-grid", "1,2", "--reps", "1",
+                                 "--stable-step", "5e-324")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "underflows" in err
 
     def test_flat_empirical_column_exit_3(self, capsys):
         # no replication sees an FPN event in [1e6, 1e6 + 1] at beta = 0.1
@@ -346,6 +379,28 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1 and err.startswith("numerical error:")
         assert "overflows" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--process", "fpp", "--beta", "0.5", "--lambda", "1e150",
+         "--t", "1e20"),
+        ("moments", "--process", "fnbp", "--beta", "0.5", "--lambda", "1e150",
+         "--alpha", "2e-12", "--p", "1e-3", "--t", "1"),
+        ("moments", "--process", "fnbp", "--beta", "0.5", "--lambda", "1",
+         "--alpha", "1e-320", "--p", "1e-10", "--t", "1"),
+        ("corr", "--process", "fpn", "--mode", "analytic", "--beta", "0.5",
+         "--lambda", "1e200", "--delta", "1", "--s", "1", "--t-grid", "10,100"),
+        ("moments", "--process", "fpp", "--beta", "0.9", "--lambda", "1",
+         "--t", "1e200"),
+        ("corr", "--process", "fpp", "--mode", "analytic", "--beta", "0.9",
+         "--lambda", "1", "--s", "1", "--t-grid", "1e201"),
+    ], ids=["fpp_variance", "fnbp_variance", "fnbp_clock_moment", "fpn_q_squared",
+            "fpp_variance_power", "fpp_covariance_power"])
+    def test_overflow_with_finite_constants_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "overflows" in err
+
     @pytest.mark.parametrize("name", ["missing.csv", "."])
     def test_unreadable_infile_exit_2(self, capsys, tmp_path, name):
         path = str(tmp_path / name)
@@ -378,7 +433,7 @@ class TestBadInputExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("simulated before checking --out")
 
-        monkeypatch.setattr(cli, "sample_process_path", never)
+        monkeypatch.setattr(cli, "sample_batch", never)
         code, out, err = run_cli(capsys, *self.SIMULATE, "--out", path)
         assert code == 2
         assert out == ""

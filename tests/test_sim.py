@@ -10,10 +10,11 @@ import pytest
 from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fnbp_mean, fpn_variance, fpp_mean, nb_pmf)
 from fracdep.errors import DomainError, GridError, NumericalError, ResourceCapError
+from fracdep import sim
 from fracdep.sim import (DEFAULT_MAX_STEPS, PROCESSES, PathSpec, SamplePath, Seed,
                          _auto_step, _first_passage, _gamma_values,
                          _inverse_stable_values, _poisson_compose, increment_path,
-                         sample_positive_stable, sample_process_path)
+                         sample_batch, sample_positive_stable, sample_process_path)
 from fracdep.specfun import gamma_frac_moment
 
 
@@ -82,9 +83,9 @@ class TestInverseStableMarginal:
     def test_zero_time(self):
         # a PathSpec grid is positive, but a gamma clock that underflows to 0
         # hands the inverse stable stage a zero target
-        values = _inverse_stable_values(0.5, np.array([0.0]), None, Seed(1).rng(),
+        values = _inverse_stable_values(0.5, np.array([[0.0]]), None, [Seed(1).rng()],
                                         DEFAULT_MAX_STEPS)
-        assert values[0] == 0.0
+        assert values[0, 0] == 0.0
 
     def test_degenerate_clock(self):
         path = inverse_stable_path(1.0, np.array([3.7]), None, Seed(1))
@@ -174,11 +175,16 @@ def eager_first_passage(beta, targets, step, rng, max_steps):
     return (k + 1).astype(float) * step
 
 
+def lazy_first_passage(beta, targets, step, rng, max_steps):
+    """_first_passage on a single row of targets."""
+    return _first_passage(beta, targets[None], step, [rng], max_steps)[0]
+
+
 def first_passage_both(beta, targets, step, seed, max_steps=10 ** 8):
     """(lazy, eager) outcomes from equal streams: the clock values, or the
     exception type, and the next draw of each stream."""
     out = []
-    for fn in (_first_passage, eager_first_passage):
+    for fn in (lazy_first_passage, eager_first_passage):
         rng = seed.rng()
         try:
             value = fn(beta, targets, step, rng, max_steps)
@@ -236,7 +242,7 @@ class TestGammaPath:
         g = GammaParams(2.0, 1.5)
         R = 50000
         rng = Seed(11).rng()
-        vals = np.array([_gamma_values(g, np.array([2.0]), rng)[0] for i in range(R)])
+        vals = np.array([_gamma_values(g, np.array([2.0]), [rng])[0, 0] for i in range(R)])
         truth = 1.5 * 2.0 / 2.0
         se = vals.std(ddof=1) / math.sqrt(R)
         assert within_se(vals.mean(), truth, se)
@@ -245,7 +251,7 @@ class TestGammaPath:
         g = GammaParams(1.0, 1.0)
         R = 30000
         rng = Seed(12).rng()
-        y = np.array([_gamma_values(g, np.array([2.0]), rng)[0] for _ in range(R)])
+        y = np.array([_gamma_values(g, np.array([2.0]), [rng])[0, 0] for _ in range(R)])
         emp = np.sqrt(y)
         truth = gamma_frac_moment(0.5, 1.0, 2.0)
         se = emp.std(ddof=1) / math.sqrt(R)
@@ -258,7 +264,7 @@ class TestGammaPath:
         a = np.empty(R)
         b = np.empty(R)
         for i in range(R):
-            y = _gamma_values(g, np.array([1.0, 2.0, 3.0]), rng)
+            y = _gamma_values(g, np.array([1.0, 2.0, 3.0]), [rng])[0]
             a[i] = y[1] - y[0]
             b[i] = y[2] - y[1]
         corr = np.corrcoef(a, b)[0, 1]
@@ -292,14 +298,14 @@ def reference_process_path(spec, seed):
             return SamplePath(grid, grid.copy())
         if not (0.0 < beta < 1.0):
             raise DomainError(f"beta must be in (0, 1], got {beta}")
-        return SamplePath(grid, _inverse_stable_values(beta, grid, stable_step, rng,
-                                                       max_steps))
+        return SamplePath(grid, _inverse_stable_values(beta, grid[None], stable_step,
+                                                       [rng], max_steps)[0])
 
     def sample_gamma_path(gamma, t_grid, rng):
         grid = np.asarray(t_grid, dtype=float)
         if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
             raise DomainError("t_grid must be strictly increasing and positive")
-        return SamplePath(grid, _gamma_values(gamma, grid, rng))
+        return SamplePath(grid, _gamma_values(gamma, grid, [rng])[0])
 
     rng = seed.rng()
     grid = spec.t_grid
@@ -314,18 +320,18 @@ def reference_process_path(spec, seed):
         lam, clock = params.lam, grid
     elif kind == "fpp":
         lam = params.lam
-        clock = _inverse_stable_values(params.beta, grid, spec.stable_step,
-                                       rng, spec.max_steps)
+        clock = _inverse_stable_values(params.beta, grid[None], spec.stable_step,
+                                       [rng], spec.max_steps)[0]
     elif kind == "nb":
-        lam, clock = params.fpp.lam, _gamma_values(params.gamma, grid, rng)
+        lam, clock = params.fpp.lam, _gamma_values(params.gamma, grid, [rng])[0]
     elif kind == "fnbp":
         fpp = params.fpp
-        y = _gamma_values(params.gamma, grid, rng)
+        y = _gamma_values(params.gamma, grid, [rng])
         lam, clock = fpp.lam, _inverse_stable_values(fpp.beta, y, spec.stable_step,
-                                                     rng, spec.max_steps)
+                                                     [rng], spec.max_steps)[0]
     else:
         raise DomainError(f"unknown process {kind!r}")
-    return SamplePath(grid, _poisson_compose(lam, clock, rng))
+    return SamplePath(grid, _poisson_compose(lam, clock[None], [rng])[0])
 
 
 def process_params(process, beta):
@@ -367,6 +373,128 @@ class TestStageComposition:
         path = sample_process_path(spec, Seed(1))
         assert path.values is not spec.t_grid
         assert np.array_equal(path.values, spec.t_grid)
+
+
+class TestSampleBatch:
+    """sample_batch samples rows in groups; every row must be bitwise the
+    path its stream gives alone, whatever group it lands in."""
+
+    GRID = np.array([0.5, 1.0, 2.0, 4.0])
+
+    @staticmethod
+    def outcome(fn):
+        """The bytes fn() returns, or the type and message of what it raises."""
+        try:
+            return fn().tobytes()
+        except (NumericalError, ResourceCapError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("stable_step", [None, 0.02])
+    def test_rows_bitwise_equal_to_single_paths(self, process, beta, stable_step,
+                                                monkeypatch):
+        # with stable_step=None the fnbp rows each take the default step
+        # for their own gamma clock
+        spec = PathSpec(process, process_params(process, beta), self.GRID,
+                        stable_step=stable_step)
+        streams = range(5, 11)
+        made = []
+        make_rng = Seed.rng
+
+        def recording_rng(seed, *extra):
+            made.append(make_rng(seed, *extra))
+            return made[-1]
+
+        monkeypatch.setattr(Seed, "rng", recording_rng)
+        batch = sample_batch(spec, Seed(77), streams)
+        batch_next = [rng.random() for rng in made]
+        assert batch.shape == (len(streams), len(self.GRID))
+        for row, stream, row_next in zip(batch, streams, batch_next):
+            made.clear()
+            ref = reference_process_path(spec, Seed(77, stream))
+            path = sample_process_path(spec, Seed(77, stream))
+            ref_next, path_next = (rng.random() for rng in made)
+            assert row.tobytes() == ref.values.tobytes() == path.values.tobytes()
+            assert row_next == ref_next == path_next  # same draws consumed
+
+    def test_rows_overrunning_their_first_chunk(self):
+        # the beta = 0.1 seeds of TestLazyFirstPassage that need more than
+        # one chunk, now sharing groups with rows that need one
+        beta, step = 0.1, _auto_step(0.1, 10.0, 2000)
+        targets = TestLazyFirstPassage.TARGETS
+        spec = PathSpec("inv_stable", FppParams(beta, 1.0), targets, stable_step=step)
+        batch = sample_batch(spec, Seed(405), range(40))
+        chunk = max(1024, 2 * int(10.0 ** beta / math.gamma(1.0 + beta) / step))
+        for i, row in enumerate(batch):
+            rng = Seed(405, i).rng()
+            eager = eager_first_passage(beta, targets, step, rng, 10 ** 8)
+            assert row.tobytes() == eager.tobytes()
+        assert np.sum(batch[:, -1] / step - 1 >= chunk) >= 1
+
+    def test_ragged_chunks_and_overruns(self):
+        # fnbp rows at an explicit step draw chunks sized by their own gamma
+        # clock, so rows of different chunk lengths share blocks, and at
+        # beta = 0.1 some of them need a second chunk
+        beta, gamma = 0.1, GammaParams(1.0, 1.0)
+        grid, step = np.array([1.0, 10.0]), _auto_step(0.1, 10.0, 1000)
+        spec = PathSpec("fnbp", FnbpParams(FppParams(beta, 1.0), gamma), grid,
+                        stable_step=step)
+        batch = sample_batch(spec, Seed(408), range(60))
+        chunks, multi = set(), 0
+        for i, row in enumerate(batch):
+            assert row.tobytes() == reference_process_path(spec, Seed(408, i)).values.tobytes()
+            rng = Seed(408, i).rng()
+            y = _gamma_values(gamma, grid, [rng])[0]
+            chunk = max(1024, 2 * int(y[-1] ** beta / math.gamma(1.0 + beta) / step))
+            chunks.add(chunk)
+            multi += lazy_first_passage(beta, y, step, rng, 10 ** 8)[-1] / step - 1 >= chunk
+        assert len(chunks) > 10 and multi >= 1
+
+    @pytest.mark.parametrize("process,stable_step",
+                             [("fpp", 0.02), ("fnbp", 0.02), ("fnbp", None), ("nb", None)])
+    def test_independent_of_group_size(self, process, stable_step, monkeypatch):
+        spec = PathSpec(process, process_params(process, 0.5), self.GRID,
+                        stable_step=stable_step)
+        streams = range(3, 40)
+        default = sample_batch(spec, Seed(31), streams)
+        for budget in (1, 2 ** 40):  # one row per group; every row in one group
+            monkeypatch.setattr(sim, "GROUP_ELEMENTS", budget)
+            assert sample_batch(spec, Seed(31), streams).tobytes() == default.tobytes()
+
+    def test_resource_cap_as_per_path(self):
+        # the seeds of TestLazyFirstPassage.test_resource_cap_where_eager_raises:
+        # some rows exceed max_steps, others do not
+        spec = PathSpec("inv_stable", FppParams(0.5, 1.0), TestLazyFirstPassage.TARGETS,
+                        stable_step=_auto_step(0.5, 10.0, 1000), max_steps=1500)
+        self.assert_errors_as_per_path(spec, Seed(406), 40, {ResourceCapError})
+
+    def test_poisson_limit_and_resource_cap_as_per_path(self):
+        # lam puts the Poisson mean of about half the rows past the sampler's
+        # limit, and max_steps stops the longest passages first: the first
+        # failing row of a range decides the error, whichever stage raises it
+        clock = PathSpec("inv_stable", FppParams(0.5, 1.0), self.GRID, stable_step=0.02)
+        last = sample_batch(clock, Seed(407), range(40))[:, -1]
+        lam = float(sim._POISSON_MEAN_MAX / np.median(last))
+        spec = PathSpec("fpp", FppParams(0.5, lam), self.GRID, stable_step=0.02,
+                        max_steps=int(np.quantile(last, 0.8) / 0.02))
+        self.assert_errors_as_per_path(spec, Seed(407), 40,
+                                       {ResourceCapError, NumericalError})
+
+    def assert_errors_as_per_path(self, spec, seed, reps, kinds):
+        single = [self.outcome(lambda i=i: sample_process_path(spec, seed.child(i)).values)
+                  for i in range(reps)]
+        assert {o[0] for o in single if isinstance(o, tuple)} == kinds
+        assert any(isinstance(o, bytes) for o in single)
+        for lo in range(0, reps, 3):
+            streams = range(lo, min(lo + 8, reps))
+            first_error = next((single[i] for i in streams
+                                if isinstance(single[i], tuple)), None)
+            batch = self.outcome(lambda: sample_batch(spec, seed, streams))
+            if first_error is None:
+                assert batch == b"".join(single[i] for i in streams)
+            else:
+                assert batch == first_error
 
 
 class TestProcessPaths:
