@@ -28,17 +28,17 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .specfun import (DEFAULT_QUAD, QuadConfig, _float_or_array, _special,
-                      adaptive_quad, beta_fn, gamma_frac_moment, inc_beta,
-                      power_diff, power_gap)
+from .errors import ConvergenceError, DomainError, NumericalError
+from .specfun import (DEFAULT_QUAD, QuadConfig, _float_or_array, _power_gap,
+                      _special, adaptive_quad, adaptive_quad_rows, beta_fn,
+                      gamma_frac_moment, inc_beta, power_diff, power_gap)
 
 __all__ = [
     "LRD", "SRD", "UNCLASSIFIED",
     "FppParams", "GammaParams", "FnbpParams", "NoiseParams",
     "AsymptoticValue", "FnbnAsymptotics",
     "classify_exponent",
-    "fpp_mean", "fpp_variance", "fpp_F", "fpp_covariance",
+    "fpp_mean", "fpp_variance", "fpp_F", "fpp_covariance", "fpp_correlation",
     "fpp_increment_factorial_moment", "fpp_increment_variance",
     "fpn_covariance", "fpn_covariance_asymptotic",
     "fpn_variance", "fpn_variance_asymptotic",
@@ -79,37 +79,40 @@ class FppParams:
     @property
     def q2(self) -> float:
         """q^2, computed as q * q."""
-        return self._finite("q^2", lambda: self.q * self.q)
+        return _finite("FPP constant q^2", lambda: self.q * self.q, self)
 
     @property
     def d(self) -> float:
-        return self._finite("d", lambda: self.beta * self.q ** 2
-                            * beta_fn(self.beta, 1.0 + self.beta))
+        return _finite("FPP constant d", lambda: self.beta * self.q ** 2
+                       * beta_fn(self.beta, 1.0 + self.beta), self)
 
     @property
     def c(self) -> float:
-        return self._finite("c", lambda: 2.0 * self.beta * self.q ** 2 / (self.beta + 1.0))
+        return _finite("FPP constant c",
+                       lambda: 2.0 * self.beta * self.q ** 2 / (self.beta + 1.0), self)
 
     @property
     def R(self) -> float:
         # 1/Gamma(2) - 1/Gamma(1)^2 vanishes exactly at beta == 1
         b = self.beta
         gammaln = _special().gammaln
-        return self._finite("R", lambda: (self.lam ** 2 / b)
-                            * (math.exp(-gammaln(2.0 * b)) - math.exp(-2.0 * gammaln(b)) / b))
+        return _finite("FPP constant R", lambda: (self.lam ** 2 / b)
+                       * (math.exp(-gammaln(2.0 * b)) - math.exp(-2.0 * gammaln(b)) / b),
+                       self)
 
-    def _finite(self, name: str, formula) -> float:
-        """formula(), or NumericalError where it overflows float64 (a Python
-        float ** raises OverflowError; * and / give inf)."""
-        try:
-            value = formula()
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise NumericalError(
-                f"FPP constant {name} overflows float64 at beta={self.beta}, "
-                f"lambda={self.lam}")
-        return value
+
+def _finite(name: str, formula, params: FppParams, *at: str) -> float:
+    """formula(), or NumericalError where it overflows float64 (a Python
+    float ** raises OverflowError; * / and + give inf).  The message names
+    the point ``at`` and the FPP parameters."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        where = ", ".join((*at, f"beta={params.beta}", f"lambda={params.lam}"))
+        raise NumericalError(f"{name} overflows float64 at {where}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -201,30 +204,65 @@ def _check_time(name: str, t: float, allow_zero: bool = True) -> float:
     return t
 
 
-def _finite_moment(name: str, formula, params: FppParams, at: str) -> float:
-    """formula(), or NumericalError where it overflows float64 (a Python
-    float ** raises OverflowError; * and + give inf)."""
+def _check_times(name: str, t, allow_zero: bool = True) -> np.ndarray:
+    """:func:`_check_time` of every value of ``t`` at once, as a float array
+    (0-d for a scalar); the error names the first bad value."""
+    ta = np.asarray(t, dtype=float)
+    ok = np.isfinite(ta) & ((ta >= 0.0) if allow_zero else (ta > 0.0))
+    for bad in ta[~ok][:1]:
+        _check_time(name, bad, allow_zero)
+    return ta
+
+
+def _each_t(batch, t, *args):
+    """batch(*args, t_array) for a float t (as a float) or a 1-d array t.
+
+    ``batch`` maps a 1-d float array of times to an array of values, and
+    the value at each time must not depend on the others.  If it raises on
+    an array, the times are replayed one by one, so the error raised is
+    that of the first time that fails on its own, as in a loop over t.
+    """
+    ta = np.asarray(t, dtype=float)
+    if ta.ndim == 0:
+        return float(batch(*args, ta.reshape(1))[0])
     try:
-        value = formula()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"{name} overflows float64 at {at}, beta={params.beta}, "
-                             f"lambda={params.lam}")
-    return value
+        return batch(*args, ta)
+    except (ConvergenceError, DomainError, NumericalError):
+        for ti in ta:
+            batch(*args, np.array([ti]))
+        raise
+
+
+def _correlation(cov, var_s, var_t, params: FppParams, s: float, t: np.ndarray):
+    """cov / sqrt(var_s var_t) elementwise at the times ``t``.
+
+    NumericalError where the product of the variances is not a positive
+    finite float64: its square root would be inf or 0, and the correlation
+    0, inf or nan.  (sqrt(var_s) sqrt(var_t) would not overflow, but it
+    changes the last bit of finite correlations.)
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        prod = np.multiply(var_s, var_t)
+    bad = ~((prod > 0.0) & (prod < math.inf))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        what = "overflows float64" if prod[i] == math.inf else f"is {float(prod[i])}"
+        raise NumericalError(
+            f"Var(s) Var(t) {what} at s={s}, t={float(t[i])}, beta={params.beta}, "
+            f"lambda={params.lam}; the correlation is undefined")
+    return np.divide(cov, np.sqrt(prod))
 
 
 def fpp_mean(params: FppParams, t: float) -> float:
     """E[N_b(t)] = q t^b."""
     t = _check_time("t", t)
-    return _finite_moment("FPP mean", lambda: params.q * t ** params.beta,
-                          params, f"t={t}")
+    return _finite("FPP mean", lambda: params.q * t ** params.beta, params, f"t={t}")
 
 
 def fpp_variance(params: FppParams, t: float) -> float:
     """Var[N_b(t)] = q t^b + R t^{2b}."""
     t = _check_time("t", t)
-    return _finite_moment(
+    return _finite(
         "FPP variance",
         lambda: params.q * t ** params.beta + params.R * t ** (2.0 * params.beta),
         params, f"t={t}")
@@ -239,9 +277,9 @@ def fpp_F(params: FppParams, s: float, t: float) -> float:
     b = params.beta
     if s == 0.0:
         return 0.0
-    return _finite_moment("F(b; s, t)", lambda: b * t ** (2.0 * b)
-                          * inc_beta(b, 1.0 + b, s / t) - (s * t) ** b,
-                          params, f"s={s}, t={t}")
+    return _finite("F(b; s, t)", lambda: b * t ** (2.0 * b)
+                   * inc_beta(b, 1.0 + b, s / t) - (s * t) ** b,
+                   params, f"s={s}, t={t}")
 
 
 def fpp_covariance(params: FppParams, s: float, t: float) -> float:
@@ -253,10 +291,27 @@ def fpp_covariance(params: FppParams, s: float, t: float) -> float:
     if s == 0.0:
         return 0.0
     b, q, q2 = params.beta, params.q, params.q2
-    return _finite_moment("FPP covariance", lambda: q * s ** b
-                          + q2 * (b * s ** (2.0 * b) * beta_fn(b, 1.0 + b)
-                                  + fpp_F(params, s, t)),
-                          params, f"s={s}, t={t}")
+    return _finite("FPP covariance", lambda: q * s ** b
+                   + q2 * (b * s ** (2.0 * b) * beta_fn(b, 1.0 + b)
+                           + fpp_F(params, s, t)),
+                   params, f"s={s}, t={t}")
+
+
+def fpp_correlation(params: FppParams, s: float, t):
+    """Corr[N_b(s), N_b(t)] from the exact covariance and variances.
+
+    Vectorized in ``t`` (each time is a Python float evaluation); an array
+    t raises the error of its first failing time.
+    """
+    return _each_t(_fpp_correlations, t, params, s)
+
+
+def _fpp_correlations(params: FppParams, s: float, t: np.ndarray) -> np.ndarray:
+    var_s = fpp_variance(params, s)
+    times = t.tolist()
+    cov = [fpp_covariance(params, s, ti) for ti in times]
+    var_t = [fpp_variance(params, ti) for ti in times]
+    return _correlation(cov, var_s, var_t, params, s, t)
 
 
 def fpp_increment_factorial_moment(params: FppParams, s: float, t: float):
@@ -318,8 +373,11 @@ def fpn_covariance(noise: NoiseParams, s: float, t: float,
         return 0.0  # Poisson increments over disjoint windows are independent
     b, q2 = params.beta, params.q2
     g_t = power_gap(t, delta, b)
+    # the abscissae r lie in (s, s + delta], so t - r >= 0: power_gap's checks
+    # hold by construction, and its kernel runs under the quadrature's errstate
+    da = np.asarray(delta)
     integral = adaptive_quad(
-        lambda r: r ** (b - 1.0) * (power_gap(t - r, delta, b) - g_t), s, s + delta, cfg)
+        lambda r: r ** (b - 1.0) * (_power_gap(t - r, da, b) - g_t), s, s + delta, cfg)
     return q2 * b * integral
 
 
@@ -349,14 +407,15 @@ def fpn_covariance_asymptotic(noise: NoiseParams, s: float, t: float) -> Asympto
     )
 
 
-def fpn_variance(noise: NoiseParams, t: float) -> float:
+def fpn_variance(noise: NoiseParams, t):
     """Exact Var[Z(t)] = E[Z(Z-1)] + q g - (q g)^2 with g = (t+d)^b - t^b.
 
     Algebraically equal to Var[N(t+d)] + Var[N(t)] - 2 Cov[N(t), N(t+d)].
+    Vectorized in ``t``.
     """
     params = noise.fpp
     delta = noise.delta
-    t = _check_time("t", t)
+    t = _check_times("t", t)
     gap = params.q * power_gap(t, delta, params.beta)
     fact = fpp_increment_factorial_moment(params, t, t + delta)
     return fact + gap - gap * gap
@@ -384,19 +443,27 @@ def fpn_variance_asymptotic(noise: NoiseParams, t: float) -> AsymptoticValue:
     )
 
 
-def fpn_correlation(noise: NoiseParams, s: float, t: float) -> float:
+def fpn_correlation(noise: NoiseParams, s: float, t):
     """Correlation model of the FPN: K t^{-(b+2)} over exact standard deviations.
 
     This is the object whose decay rate t^{-3(b+1)/2} is studied for the
     FPN; both window variances are exact, the cross term is the claimed
     large-t covariance model.  For beta == 1 the increments are independent
-    and the correlation is exactly 0.
+    and the correlation is exactly 0.  Vectorized in ``t``: the variances
+    of all t are one :func:`fpn_variance` call, and an array t raises the
+    error of its first failing time.
     """
-    params = noise.fpp
-    if params.beta == 1.0:
-        return 0.0
-    num = fpn_covariance_asymptotic(noise, s, t).value
-    return num / math.sqrt(fpn_variance(noise, s) * fpn_variance(noise, t))
+    if noise.fpp.beta == 1.0:
+        return _float_or_array(np.zeros(np.shape(t)))
+    return _each_t(_fpn_correlations, t, noise, s)
+
+
+def _fpn_correlations(noise: NoiseParams, s: float, t: np.ndarray) -> np.ndarray:
+    # the model's t ** exponent stays a Python float power, one t at a time:
+    # numpy's array power differs from it in the last bit on some t
+    num = [fpn_covariance_asymptotic(noise, s, ti).value for ti in t.tolist()]
+    return _correlation(num, fpn_variance(noise, s), fpn_variance(noise, t),
+                        noise.fpp, s, t)
 
 
 def fpn_theoretical_exponent(beta: float) -> float:
@@ -512,7 +579,7 @@ def nb_pmf(params: FnbpParams, n: int, t: float) -> float:
 def fnbp_mean(params: FnbpParams, t: float) -> float:
     """E[Q_b(t)] = q E[Y^b(t)] = q Gamma(pt+b) / (alpha^b Gamma(pt))."""
     t = _check_time("t", t, allow_zero=False)
-    return _finite_moment(
+    return _finite(
         "FNBP mean", lambda: params.fpp.q * params.clock_moment(params.fpp.beta, t),
         params.fpp, f"t={t}")
 
@@ -524,9 +591,9 @@ def fnbp_variance(params: FnbpParams, t: float) -> float:
     q = params.fpp.q
     m1 = params.clock_moment(b, t)
     m2 = params.clock_moment(2.0 * b, t)
-    out = _finite_moment("FNBP variance",
-                         lambda: q * m1 * (1.0 - q * m1) + 2.0 * params.fpp.d * m2,
-                         params.fpp, f"t={t}")
+    out = _finite("FNBP variance",
+                  lambda: q * m1 * (1.0 - q * m1) + 2.0 * params.fpp.d * m2,
+                  params.fpp, f"t={t}")
     if not (out >= 0.0):
         raise NumericalError(
             f"FNBP variance formula returned {out} at t={t}; parameter regime "
@@ -534,30 +601,51 @@ def fnbp_variance(params: FnbpParams, t: float) -> float:
     return out
 
 
-def _beta_mixture_expectation(params: FnbpParams, s: float, t: float,
-                              cfg: QuadConfig) -> float:
-    """E[B(b, 1+b; V)] with V ~ Beta(ps, p(t-s)).
+def _beta_mixture_expectation(params: FnbpParams, s, t, cfg: QuadConfig):
+    """E[B(b, 1+b; V)] with V ~ Beta(ps, p(t-s)), for 0 < s < t.
 
     Integration by parts turns the expectation of the incomplete beta into
 
         int_0^1 v^{b-1} (1-v)^b  P(V > v) dv,
 
     which has no spike even when p(t-s) is huge (the survival factor just
-    truncates the integrand on a log scale).
+    truncates the integrand on a log scale).  Vectorized in ``s`` and ``t``
+    (of one shape): every pair is a row of one batched quadrature, and the
+    rows share the factor v^{b-1} (1-v)^b, evaluated once per level.
     """
     b = params.fpp.beta
-    p1 = params.gamma.p * s
-    p2 = params.gamma.p * (t - s)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    p1 = np.reshape(params.gamma.p * s, -1)
+    p2 = np.reshape(params.gamma.p * (t - s), -1)
     betaincc = _special().betaincc
+    shared = [None, None]  # the abscissae of the level and their common factor
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return v ** (b - 1.0) * (1.0 - v) ** b * betaincc(p1, p2, v)
+    def integrand(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if shared[0] is not v:
+            shared[:] = v, v ** (b - 1.0) * (1.0 - v) ** b
+        return shared[1] * betaincc(p1[rows, None], p2[rows, None], v)
 
-    return adaptive_quad(integrand, 0.0, 1.0, cfg)
+    return _float_or_array(adaptive_quad_rows(integrand, len(p1), 0.0, 1.0, cfg)
+                           .reshape(s.shape))
 
 
 # tolerances of the FNBP covariance quadrature
 COV_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-300, max_depth=14)
+
+
+def _fnbp_covariances(params: FnbpParams, lo: np.ndarray, hi: np.ndarray,
+                      cfg: QuadConfig) -> list:
+    """Cov[Q_b(lo_i), Q_b(hi_i)] for each pair of the float arrays 0 < lo < hi
+    (see :func:`fnbp_covariance`), with one quadrature for all pairs."""
+    b = params.fpp.beta
+    q, q2 = params.fpp.q, params.fpp.q2
+    moments = [(params.clock_moment(b, s), params.clock_moment(2.0 * b, s),
+                params.clock_moment(b, t), params.clock_moment(2.0 * b, t))
+               for s, t in zip(lo.tolist(), hi.tolist())]
+    eb = _beta_mixture_expectation(params, lo, hi, cfg).tolist()
+    d = params.fpp.d
+    return [q * m1s + d * m2s - q2 * m1s * m1t + q2 * b * m2t * e
+            for (m1s, m2s, m1t, m2t), e in zip(moments, eb)]
 
 
 def fnbp_covariance(params: FnbpParams, s: float, t: float,
@@ -575,26 +663,32 @@ def fnbp_covariance(params: FnbpParams, s: float, t: float,
         s, t = t, s
     if s == t:
         return fnbp_variance(params, t)
-    b = params.fpp.beta
-    q, q2 = params.fpp.q, params.fpp.q2
-    m1s = params.clock_moment(b, s)
-    m2s = params.clock_moment(2.0 * b, s)
-    m1t = params.clock_moment(b, t)
-    m2t = params.clock_moment(2.0 * b, t)
-    eb = _beta_mixture_expectation(params, s, t, cfg)
-    return (q * m1s + params.fpp.d * m2s
-            - q2 * m1s * m1t + q2 * b * m2t * eb)
+    return _fnbp_covariances(params, np.array([s]), np.array([t]), cfg)[0]
 
 
-def fnbp_correlation(params: FnbpParams, s: float, t: float,
-                     cfg: QuadConfig = COV_QUAD) -> float:
-    """Corr[Q_b(s), Q_b(t)]; decays like t^{-b} (LRD for 0 < b < 1)."""
+def fnbp_correlation(params: FnbpParams, s: float, t,
+                     cfg: QuadConfig = COV_QUAD):
+    """Corr[Q_b(s), Q_b(t)]; decays like t^{-b} (LRD for 0 < b < 1).
+
+    Vectorized in ``t``: the covariance quadratures of all t are one batched
+    rule, and an array t raises the error of its first failing time.
+    """
+    return _each_t(_fnbp_correlations, t, params, s, cfg)
+
+
+def _fnbp_correlations(params: FnbpParams, s: float, cfg: QuadConfig,
+                       t: np.ndarray) -> np.ndarray:
     s = _check_time("s", s, allow_zero=False)
-    t = _check_time("t", t, allow_zero=False)
-    if s == t:
-        return 1.0
-    return (fnbp_covariance(params, s, t, cfg)
-            / math.sqrt(fnbp_variance(params, s) * fnbp_variance(params, t)))
+    t = _check_times("t", t, allow_zero=False)
+    corr = np.ones(len(t))  # at t == s
+    off = t != s
+    if off.any():
+        t_off = t[off]
+        cov = _fnbp_covariances(params, np.minimum(t_off, s), np.maximum(t_off, s), cfg)
+        var_s = fnbp_variance(params, s)
+        var_t = [fnbp_variance(params, ti) for ti in t_off.tolist()]
+        corr[off] = _correlation(cov, var_s, var_t, params.fpp, s, t_off)
+    return corr
 
 
 def fnbp_theoretical_exponent(beta: float) -> float:

@@ -111,23 +111,21 @@ def analytic_curve(kind: str, params, s: float, t_grid,
                    cfg: QuadConfig = analytic.COV_QUAD) -> CorrelationCurve:
     """Exact (fpp, fnbp) or model (fpn, fnbn) correlation over a t grid.
 
-    ``cfg`` sets the quadrature tolerances of the FNBP covariance.
+    ``cfg`` sets the quadrature tolerances of the FNBP covariance.  The fpp,
+    fpn and fnbp curves are one vectorized call over the grid (for the
+    fnbp, one batched quadrature); an error is that of the first failing t.
     """
     t = np.asarray(t_grid, dtype=float)
     if kind == "fpp":
         if not isinstance(params, FppParams):
             raise DomainError("fpp curve needs FppParams")
-        var_s = analytic.fpp_variance(params, s)
-        corr = np.array([analytic.fpp_covariance(params, s, ti)
-                         / math.sqrt(var_s * analytic.fpp_variance(params, ti))
-                         for ti in t])
+        corr = analytic.fpp_correlation(params, s, t)
     elif kind == "fpn":
-        noise = NoiseParams(params, delta)
-        corr = np.array([analytic.fpn_correlation(noise, s, ti) for ti in t])
+        corr = analytic.fpn_correlation(NoiseParams(params, delta), s, t)
     elif kind == "fnbp":
         if not isinstance(params, FnbpParams):
             raise DomainError("fnbp curve needs FnbpParams")
-        corr = np.array([analytic.fnbp_correlation(params, s, ti, cfg) for ti in t])
+        corr = analytic.fnbp_correlation(params, s, t, cfg)
     elif kind == "fnbn":
         noise = NoiseParams(params, delta)
         corr = np.array([analytic.fnbn_correlation_asymptotic(noise, s, ti)

@@ -6,8 +6,11 @@ shape parameters up to 1e6 stay finite), which is imported on first use,
 through :func:`_special`: a process that never evaluates a gamma or beta
 function never loads it.  The quadrature is an independent
 double-exponential scheme used as the oracle for the closed-form results
-elsewhere in the package.  It keeps its interval-independent node factors
-in read-only per-level tables, built on first use; they change no result.
+elsewhere in the package.  It is batched over integrands on one interval:
+the nodes and weights of a level serve every integrand, and each is summed
+and stopped as if alone, so a one-integrand call is the same rule.  It keeps
+its interval-independent node factors in read-only per-level tables, built
+on first use; they change no result.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "beta_fn",
     "inc_beta",
     "adaptive_quad",
+    "adaptive_quad_rows",
     "gamma_frac_moment",
     "power_diff",
     "power_gap",
@@ -149,20 +153,67 @@ def _node_table(level: int) -> tuple:
     return table
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integrate f over (a, b) to max(rel_tol*|I|, abs_tol).
+# the most integrand values (rows x nodes) one call of f is asked for: the
+# rows of a level are evaluated in blocks of at least one row, which changes
+# no result, since every value and every row sum is the same in any block
+_BLOCK_VALUES = 1 << 15
+
+
+def _level_sums(f, rows: np.ndarray, level: int, a: float, b: float) -> list:
+    """The weighted node sums of refinement ``level`` for each of ``rows``;
+    NaN for a row whose integrand blows up where the weight has not collapsed."""
+    width = b - a
+    left, sig_lo, sig_hi, e, e_sq, cosh = _node_table(level)
+    off_lo = width * sig_lo    # x - a
+    off_hi = width * sig_hi    # b - x
+    weight = 2.0 * width * e / e_sq * 0.5 * math.pi * cosh
+    keep = (off_lo > 0.0) & (off_hi > 0.0) & (weight > 0.0)
+    if not keep.any():
+        return [0.0] * len(rows)
+    x = np.where(left, a + off_lo, b - off_hi)[keep]
+    w = weight[keep]
+    step = max(1, _BLOCK_VALUES // len(x))
+    out = []
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        vals = np.empty((len(block), len(x)))
+        with np.errstate(all="ignore"):
+            np.multiply(f(x, block), w, out=vals)
+        sums = vals.sum(axis=1)
+        finite = np.isfinite(sums)
+        if not finite.all():
+            # a row sum that is not finite has an inf or nan value, which is
+            # harmless (and read as 0) only where the DE weight has collapsed
+            for i in np.flatnonzero(~finite):
+                bad = ~np.isfinite(vals[i])
+                sums[i] = (math.nan if (bad & (w > 1e-250)).any()
+                           else np.sum(np.where(bad, 0.0, vals[i])))
+        out.extend(sums.tolist())
+    return out
+
+
+def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int,
+                       a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """Integrate k integrands over one interval (a, b), each to
+    max(rel_tol*|I|, abs_tol): the array of the k integrals.
+
+    ``f(x, rows)`` gives the integrands ``rows`` (an index array into
+    range(k)) at the abscissae ``x``, as a len(rows) x len(x) array (or one
+    that broadcasts to it).  The nodes and weights of a level serve every
+    row; each row is summed and tested on its own, stops at the level at
+    which it would stop alone, and is not evaluated after that, so its
+    result never depends on the other rows.
 
     Double-exponential (tanh-sinh) node placement with dyadic refinement:
     all nodes are strictly interior, so integrable endpoint singularities
-    u^{g-1} with any g > 0 converge.  ``f`` must accept an ndarray of
-    abscissae.  Blow-up singularities are resolved to full precision at a
-    left endpoint a == 0 (abscissae there are exact offsets); an integrand
-    that blows up at the right endpoint should be reflected by the caller.
-    Vanishing endpoint behavior is fine at either end.
+    u^{g-1} with any g > 0 converge.  Blow-up singularities are resolved to
+    full precision at a left endpoint a == 0 (abscissae there are exact
+    offsets); an integrand that blows up at the right endpoint should be
+    reflected by the caller.  Vanishing endpoint behavior is fine at either
+    end.
 
-    Raises :class:`ConvergenceError` if ``cfg.max_depth`` refinements do not
-    reach the tolerance.
+    Raises :class:`ConvergenceError`, for the first row that has not
+    converged, if ``cfg.max_depth`` refinements do not reach the tolerance.
     """
     a = float(a)
     b = float(b)
@@ -171,41 +222,43 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("endpoints must be finite")
 
-    width = b - a
-
-    def _sum(level: int) -> float:
-        left, sig_lo, sig_hi, e, e_sq, cosh = _node_table(level)
-        off_lo = width * sig_lo    # x - a
-        off_hi = width * sig_hi    # b - x
-        weight = 2.0 * width * e / e_sq * 0.5 * math.pi * cosh
-        keep = (off_lo > 0.0) & (off_hi > 0.0) & (weight > 0.0)
-        if not np.any(keep):
-            return 0.0
-        x = np.where(left, a + off_lo, b - off_hi)[keep]
-        w = weight[keep]
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(x), dtype=float) * w
-        # a blown-up f is harmless only where the DE weight has collapsed
-        bad = ~np.isfinite(vals)
-        if np.any(bad & (w > 1e-250)):
-            return math.nan
-        vals[bad] = 0.0
-        return float(np.sum(vals))
-
+    out = np.empty(k)
+    active = np.arange(k)
+    total = _level_sums(f, active, 0, a, b)  # h = 1 at level 0
+    prev = [math.inf] * k
+    err = [math.nan] * k
     h = 1.0
-    total = _sum(0) * h
-    prev = math.inf
     for level in range(1, cfg.max_depth + 1):
         h *= 0.5
-        total = 0.5 * total + _sum(level) * h
-        err = abs(total - prev)
-        prev = total
-        if level >= 2 and math.isfinite(total) and \
-                err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
-            return total
+        going = []
+        # row by row, the float arithmetic a one-row rule does
+        for i, s in zip(active.tolist(), _level_sums(f, active, level, a, b)):
+            value = 0.5 * total[i] + s * h
+            err[i] = abs(value - prev[i])
+            prev[i] = total[i] = value
+            if level >= 2 and math.isfinite(value) and \
+                    err[i] <= max(cfg.rel_tol * abs(value), cfg.abs_tol):
+                out[i] = value
+            else:
+                going.append(i)
+        if not going:
+            return out
+        active = np.array(going)
     raise ConvergenceError(
         f"quadrature did not converge within max_depth={cfg.max_depth} "
-        f"(last increment {err:g})")
+        f"(last increment {err[active[0]]:g})")
+
+
+def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                  cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """Integrate f over (a, b) to max(rel_tol*|I|, abs_tol): the one-row case
+    of :func:`adaptive_quad_rows`, whose notes on endpoints apply.  ``f``
+    must accept an ndarray of abscissae.
+
+    Raises :class:`ConvergenceError` if ``cfg.max_depth`` refinements do not
+    reach the tolerance.
+    """
+    return float(adaptive_quad_rows(lambda x, rows: f(x), 1, a, b, cfg)[0])
 
 
 def gamma_frac_moment(m: float, alpha: float, pt: float) -> float:
@@ -242,6 +295,15 @@ def power_diff(x, y):
     return _float_or_array(out)
 
 
+def _power_gap(ua: np.ndarray, da: np.ndarray, y: float) -> np.ndarray:
+    """The formula of :func:`power_gap` without its checks: the caller
+    ensures ua >= 0 and finite da >= 0 (both float ndarrays) and silences
+    numpy's floating-point warnings."""
+    zero = ua == 0.0
+    return np.where(zero, da ** y,
+                    ua ** y * np.expm1(y * np.log1p(da / np.where(zero, 1.0, ua))))
+
+
 def power_gap(u, delta, y: float):
     """(u+delta)^y - u^y for u >= 0 and finite delta >= 0, stable when
     delta << u.  Vectorized in u and delta."""
@@ -251,8 +313,5 @@ def power_gap(u, delta, y: float):
         raise DomainError(f"u must be >= 0, got {u}")
     if not ((da >= 0.0) & (da < math.inf)).all():
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
-    zero = ua == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(zero, da ** y,
-                       ua ** y * np.expm1(y * np.log1p(da / np.where(zero, 1.0, ua))))
-    return _float_or_array(out)
+        return _float_or_array(_power_gap(ua, da, y))

@@ -7,13 +7,15 @@ run live.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
-                              classify_exponent, delta_limit_bound,
+from fracdep import specfun
+from fracdep.analytic import (COV_QUAD, FnbpParams, FppParams, GammaParams,
+                              NoiseParams, classify_exponent, delta_limit_bound,
                               delta_statistic, fnbn_asymptotics,
                               fnbn_correlation_asymptotic,
                               fnbn_theoretical_exponent, fnbp_correlation,
@@ -22,12 +24,14 @@ from fracdep.analytic import (FnbpParams, FppParams, GammaParams, NoiseParams,
                               fpn_correlation, fpn_covariance,
                               fpn_covariance_asymptotic,
                               fpn_theoretical_exponent, fpn_variance,
-                              fpn_variance_asymptotic, fpp_F, fpp_covariance,
+                              fpn_variance_asymptotic, fpp_correlation, fpp_F,
+                              fpp_covariance,
                               fpp_increment_factorial_moment,
                               fpp_increment_variance, fpp_mean, fpp_variance,
                               nb_pmf)
-from fracdep.errors import DomainError, NumericalError
-from fracdep.specfun import adaptive_quad, inc_beta, power_diff
+from fracdep.errors import ConvergenceError, DomainError, NumericalError
+from fracdep.estimate import analytic_curve
+from fracdep.specfun import adaptive_quad, inc_beta, power_diff, power_gap
 
 # mpmath oracle values (dps=40)
 FPP_VAR_05_1_T1 = 1.8551396223603498877
@@ -647,3 +651,193 @@ class TestClassifyExponent:
     def test_non_finite(self):
         with pytest.raises(DomainError):
             classify_exponent(math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Correlations over a t grid: one vectorized call, the bits of a loop
+# ---------------------------------------------------------------------------
+
+def _fpn_variance_loop(noise, t):
+    """fpn_variance at one Python float t, as it was before it took arrays."""
+    params = noise.fpp
+    gap = params.q * power_gap(t, noise.delta, params.beta)
+    return fpp_increment_factorial_moment(params, t, t + noise.delta) + gap - gap * gap
+
+
+def _fpn_correlation_loop(noise, s, t):
+    """fpn_correlation at one t, as it was before it took arrays."""
+    if noise.fpp.beta == 1.0:
+        return 0.0
+    num = fpn_covariance_asymptotic(noise, s, t).value
+    return num / math.sqrt(_fpn_variance_loop(noise, s) * _fpn_variance_loop(noise, t))
+
+
+def _fnbp_correlation_loop(params, s, t, cfg):
+    """fnbp_correlation at one t with its own scalar quadrature, as it was
+    before the quadratures of a grid were batched."""
+    if s == t:
+        return 1.0
+    lo, hi = min(s, t), max(s, t)
+    b, q, q2 = params.fpp.beta, params.fpp.q, params.fpp.q2
+    m1s, m2s = params.clock_moment(b, lo), params.clock_moment(2.0 * b, lo)
+    m1t, m2t = params.clock_moment(b, hi), params.clock_moment(2.0 * b, hi)
+    p1, p2 = params.gamma.p * lo, params.gamma.p * (hi - lo)
+    betaincc = specfun._special().betaincc
+    eb = adaptive_quad(lambda v: v ** (b - 1.0) * (1.0 - v) ** b * betaincc(p1, p2, v),
+                       0.0, 1.0, cfg)
+    cov = q * m1s + params.fpp.d * m2s - q2 * m1s * m1t + q2 * b * m2t * eb
+    return cov / math.sqrt(fnbp_variance(params, s) * fnbp_variance(params, t))
+
+
+def _loop(point, t):
+    """[point(ti) for ti in t], or the str of the first error it raises."""
+    try:
+        return np.array([point(float(ti)) for ti in t]).tobytes()
+    except (ConvergenceError, DomainError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _curve(*args, **kwargs):
+    try:
+        return analytic_curve(*args, **kwargs).corr.tobytes()
+    except (ConvergenceError, DomainError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCurvesOverGrid:
+    """analytic_curve evaluates the fpn and fnbp curves (and the fpp) in one
+    vectorized call over the grid; every value keeps the bits of the per-t
+    loop, and an error is the loop's first."""
+
+    BETAS = [0.05, 0.3, 0.5, 0.9, 0.99, 1.0]
+    GEOM = np.geomspace(100.0, 1e6, 25)
+    # t == s and points below s, at s = 1 and s = 2.5
+    MIXED = np.array([0.01, 0.3, 1.0, 1.7, 2.5, 10.0, 1e3, 1e5])
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_fnbp_bitwise_equal_to_loop(self, beta, rel_tol):
+        cfg = replace(COV_QUAD, rel_tol=rel_tol)
+        for gamma in (GammaParams(1.0, 1.0), GammaParams(2.0, 0.5)):
+            fn = FnbpParams(FppParams(beta, 1.0), gamma)
+            for s, t in ((1.0, self.GEOM), (1.0, self.MIXED), (2.5, self.MIXED)):
+                want = _loop(lambda ti: _fnbp_correlation_loop(fn, s, ti, cfg), t)
+                assert isinstance(want, bytes)
+                assert _curve("fnbp", fn, s, t, cfg=cfg) == want
+                assert _loop(lambda ti: fnbp_correlation(fn, s, ti, cfg), t) == want
+                assert fnbp_correlation(fn, s, t, cfg).tobytes() == want
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_fpn_bitwise_equal_to_loop(self, beta):
+        for lam, s, delta in ((1.0, 1.0, 1.0), (0.3, 2.5, 0.4), (1e70, 1.0, 1.0)):
+            noise = NoiseParams(FppParams(beta, lam), delta)
+            for t in (self.GEOM, self.MIXED[self.MIXED > s + delta]):
+                want = _loop(lambda ti: _fpn_correlation_loop(noise, s, ti), t)
+                assert isinstance(want, bytes)
+                assert _curve("fpn", noise.fpp, s, t, delta=delta) == want
+                assert _loop(lambda ti: fpn_correlation(noise, s, ti), t) == want
+            # t == s and points below s overlap the window at s
+            want = _loop(lambda ti: _fpn_correlation_loop(noise, s, ti), self.MIXED)
+            assert _curve("fpn", noise.fpp, s, self.MIXED, delta=delta) == want
+            if beta < 1.0:
+                assert want.startswith("DomainError: need t > s + delta")
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_fpn_variance_vectorized(self, beta):
+        noise = NoiseParams(FppParams(beta, 1.0), 1.0)
+        t = np.concatenate(([0.0], self.MIXED, self.GEOM))
+        assert fpn_variance(noise, t).tobytes() == _loop(
+            lambda ti: _fpn_variance_loop(noise, ti), t)
+        assert type(fpn_variance(noise, 2.0)) is float
+        with pytest.raises(DomainError, match="t must be >= 0, got -2.0"):
+            fpn_variance(noise, np.array([1.0, -2.0, math.nan]))
+
+    def test_fpp_bitwise_equal_to_loop(self):
+        for beta in self.BETAS:
+            p = FppParams(beta, 1.0)
+            for t in (self.GEOM, self.MIXED):
+                want = _loop(lambda ti: fpp_covariance(p, 1.0, ti) / math.sqrt(
+                    fpp_variance(p, 1.0) * fpp_variance(p, ti)), t)
+                assert _curve("fpp", p, 1.0, t) == want
+                assert _loop(lambda ti: fpp_correlation(p, 1.0, ti), t) == want
+
+    def test_non_converging_point_raises_like_the_loop(self):
+        # at p = 1e6 the quadrature of every t >= 1e4 stops at max_depth
+        fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1e6))
+        t = np.array([2.0, 10.0, 1e3, 1e4, 1e5])
+        want = _loop(lambda ti: _fnbp_correlation_loop(fn, 1.0, ti, COV_QUAD), t)
+        assert want.startswith("ConvergenceError") and "6.25489e-13" in want
+        assert _curve("fnbp", fn, 1.0, t) == want
+        assert _curve("fnbp", fn, 1.0, t[:3]) == _loop(
+            lambda ti: _fnbp_correlation_loop(fn, 1.0, ti, COV_QUAD), t[:3])
+
+    def test_nan_point_raises_like_the_loop(self, monkeypatch):
+        fn = FnbpParams(FppParams(0.5, 1.0), GammaParams(1.0, 1.0))
+        special = specfun._special()
+
+        class NanAtTen:
+            """scipy.special, with a survival function that is NaN for t = 10."""
+            def __getattr__(self, name):
+                return getattr(special, name)
+
+            @staticmethod
+            def betaincc(a, b, x):
+                return np.where(np.asarray(b) == 9.0, math.nan, special.betaincc(a, b, x))
+
+        monkeypatch.setattr(specfun, "_SPECIAL", NanAtTen())
+        t = np.array([2.0, 5.0, 10.0, 20.0])
+        want = _loop(lambda ti: _fnbp_correlation_loop(fn, 1.0, ti, COV_QUAD), t)
+        assert want.startswith("ConvergenceError") and "last increment nan" in want
+        assert _curve("fnbp", fn, 1.0, t) == want
+
+    @pytest.mark.parametrize("cap", [1, 10 ** 9])
+    def test_block_cap_changes_no_value(self, monkeypatch, cap):
+        fn = FnbpParams(FppParams(0.3, 1.0), GammaParams(1.0, 1.0))
+        want = _curve("fnbp", fn, 1.0, self.GEOM)
+        monkeypatch.setattr(specfun, "_BLOCK_VALUES", cap)
+        assert _curve("fnbp", fn, 1.0, self.GEOM) == want
+
+
+class TestCorrelationOverflow:
+    """A variance product that is not a positive finite float64 raises
+    NumericalError; its square root would make the correlation read 0."""
+
+    FPP = FppParams(0.5, 1e150)  # q^2 and the variances finite, their product not
+
+    def curves(self):
+        fn = FnbpParams(self.FPP, GammaParams(1.0, 1.0))
+        return {"fpp": lambda t: fpp_correlation(self.FPP, 1.0, t),
+                "fpn": lambda t: fpn_correlation(NoiseParams(self.FPP, 1.0), 1.0, t),
+                "fnbp": lambda t: fnbp_correlation(fn, 1.0, t)}
+
+    @pytest.mark.parametrize("kind", ["fpp", "fpn", "fnbp"])
+    def test_overflowing_product_raises(self, kind):
+        corr = self.curves()[kind]
+        for t in (10.0, np.array([10.0, 100.0])):
+            with pytest.raises(NumericalError,
+                               match=r"Var\(s\) Var\(t\) overflows float64 at s=1.0, t=10.0"):
+                corr(t)
+
+    @pytest.mark.parametrize("kind", ["fpp", "fpn", "fnbp"])
+    def test_curve_raises(self, kind):
+        params = self.FPP if kind != "fnbp" else FnbpParams(self.FPP, GammaParams(1.0, 1.0))
+        with pytest.raises(NumericalError, match="overflows float64 at s=1.0, t=10.0"):
+            analytic_curve(kind, params, 1.0, [10.0, 100.0],
+                           delta=1.0 if kind == "fpn" else None)
+
+    def test_zero_variance_raises(self):
+        # N(0) = 0 has no variance, and at lambda = 1e-200 the product underflows
+        with pytest.raises(NumericalError, match="Var\\(s\\) Var\\(t\\) is 0.0 at s=0.0"):
+            fpp_correlation(FppParams(0.5, 1.0), 0.0, np.array([1.0, 2.0]))
+        with pytest.raises(NumericalError, match="is 0.0 at s=1.0, t=0.0"):
+            fpp_correlation(FppParams(0.5, 1.0), 1.0, np.array([2.0, 0.0]))
+        with pytest.raises(NumericalError, match="is 0.0 at s=1.0, t=10.0"):
+            fnbp_correlation(FnbpParams(FppParams(0.5, 1e-200), GammaParams(1.0, 1.0)),
+                             1.0, 10.0)
+
+    def test_scalar_type(self):
+        one = FppParams(0.5, 1.0)
+        assert type(fpp_correlation(one, 1.0, 10.0)) is float
+        assert type(fpn_correlation(NoiseParams(one, 1.0), 1.0, 10.0)) is float
+        assert type(fnbp_correlation(FnbpParams(one, GammaParams(1.0, 1.0)), 1.0, 10.0)) \
+            is float

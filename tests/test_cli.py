@@ -486,3 +486,34 @@ class TestDeterminismAcrossThreads:
         assert code == 0
         text = target.read_text()
         assert "t,corr" in text
+
+
+class TestUndefinedCorrelationExit3:
+    """Where Var(s) Var(t) overflows float64 (or is 0), the analytic
+    correlation is undefined: exit 3, where it used to print 0.0 (or raise
+    ZeroDivisionError)."""
+
+    CORR = ("corr", "--mode", "analytic", "--beta", "0.5", "--s", "1",
+            "--t-grid", "10,100")
+
+    @pytest.mark.parametrize("extra", [
+        ("--process", "fpn", "--delta", "1"),
+        ("--process", "fnbp", "--alpha", "1", "--p", "1"),
+        ("--process", "fpp"),
+    ], ids=["fpn", "fnbp", "fpp"])
+    def test_overflowing_variance_product(self, capsys, extra):
+        code, out, err = run_cli(capsys, *self.CORR, "--lambda", "1e150", *extra)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "Var(s) Var(t) overflows float64 at s=1.0, t=10.0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "1", "--process", "fpp", "--s", "0"),
+        ("--lambda", "1e-200", "--process", "fpn", "--delta", "1"),
+    ], ids=["zero_variance", "underflow"])
+    def test_zero_variance_product(self, capsys, argv):
+        code, out, err = run_cli(capsys, *self.CORR, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Var(s) Var(t) is 0.0" in err

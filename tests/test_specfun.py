@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from fracdep import specfun
 from fracdep.errors import ConvergenceError, DomainError
-from fracdep.specfun import (QuadConfig, adaptive_quad, beta_fn,
-                             gamma_frac_moment, inc_beta, power_diff, power_gap)
+from fracdep.specfun import (QuadConfig, adaptive_quad, adaptive_quad_rows,
+                             beta_fn, gamma_frac_moment, inc_beta, power_diff,
+                             power_gap)
 
 # mpmath: mp.betainc(0.5, 1.5, 0, 0.3)
 INC_BETA_05_15_03 = 1.0378973098592882836
@@ -216,6 +217,106 @@ class TestCachedQuadNodes:
         for table in specfun._NODE_TABLES.values():
             for arr in table:
                 assert not arr.flags.writeable
+
+
+def _stack(fns):
+    """The integrand family f(x, rows) whose row i is fns[i]."""
+    def f(x, rows):
+        return np.stack([np.broadcast_to(fns[i](x), x.shape) for i in rows])
+    return f
+
+
+def _batched_outcome(fns, a, b, cfg):
+    try:
+        return list(adaptive_quad_rows(_stack(fns), len(fns), a, b, cfg))
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
+def _loop_outcome(quad, fns, a, b, cfg):
+    """The per-row loop: its values, or the error of the first failing row."""
+    out = []
+    for f in fns:
+        got = _outcome(quad, f, a, b, cfg)
+        if isinstance(got, str):
+            return got
+        out.append(got)
+    return out
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestBatchedQuad:
+    """adaptive_quad_rows integrates k integrands over one interval; each row
+    must keep the bits of the rule run on it alone."""
+
+    # on (0, 1); they stop at different levels (see test_rows_drop_out)
+    ROWS = [
+        lambda u: u ** -0.5,
+        lambda u: u ** -0.9,
+        lambda u: np.exp(-u) * u ** -0.3,
+        np.sin,
+        lambda u: u ** 2 + 1.0,
+        lambda u: (1.0 - u) ** 0.7,
+        lambda u: np.cos(40.0 * u),
+        lambda u: 3.0,
+    ]
+    DIVERGENT = [lambda u: 1.0 / u, lambda u: u ** -1.5]
+
+    @pytest.mark.parametrize("cfg", TestCachedQuadNodes.CONFIGS)
+    def test_rows_bitwise_equal_to_one_row_rule(self, cfg):
+        # each rotation puts other rows beside each row, and for the shallow
+        # config another non-converging row first
+        for k in range(len(self.ROWS)):
+            fns = self.ROWS[k:] + self.ROWS[:k]
+            want = _loop_outcome(_adaptive_quad_reference, fns, 0.0, 1.0, cfg)
+            _same_outcome(_loop_outcome(adaptive_quad, fns, 0.0, 1.0, cfg), want)
+            _same_outcome(_batched_outcome(fns, 0.0, 1.0, cfg), want)
+
+    def test_rows_drop_out(self):
+        seen = []
+        f = _stack(self.ROWS)
+        adaptive_quad_rows(lambda x, rows: seen.append(len(rows)) or f(x, rows),
+                           len(self.ROWS), 0.0, 1.0, TestCachedQuadNodes.CONFIGS[1])
+        assert seen[0] == len(self.ROWS)
+        assert len(set(seen)) >= 3  # converged rows leave at several levels
+        assert seen == sorted(seen, reverse=True)
+
+    @pytest.mark.parametrize("cfg", TestCachedQuadNodes.CONFIGS)
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_divergent_row_raises_like_the_loop(self, cfg, order):
+        fns = self.ROWS[:3] + [self.DIVERGENT[order[0]]] + self.ROWS[3:] + \
+            [self.DIVERGENT[order[1]]]
+        want = _loop_outcome(_adaptive_quad_reference, fns, 0.0, 1.0, cfg)
+        assert isinstance(want, str)
+        assert _batched_outcome(fns, 0.0, 1.0, cfg) == want
+
+    def test_nan_row_raises_like_the_loop(self):
+        nan_row = lambda u: np.where(u > 0.5, math.nan, u)  # noqa: E731
+        fns = self.ROWS[:4] + [nan_row] + self.ROWS[4:]
+        want = _loop_outcome(_adaptive_quad_reference, fns, 0.0, 1.0, QuadConfig())
+        assert want.startswith("ConvergenceError") and "nan" in want
+        assert _batched_outcome(fns, 0.0, 1.0, QuadConfig()) == want
+
+    @pytest.mark.parametrize("cap", [1, 10 ** 9])
+    def test_block_cap_changes_no_result(self, monkeypatch, cap):
+        cfg = TestCachedQuadNodes.CONFIGS[1]
+        want = _batched_outcome(self.ROWS, 0.0, 1.0, cfg)
+        blocks = []
+        f = _stack(self.ROWS)
+        monkeypatch.setattr(specfun, "_BLOCK_VALUES", cap)
+        got = adaptive_quad_rows(lambda x, rows: blocks.append(len(rows)) or f(x, rows),
+                                 len(self.ROWS), 0.0, 1.0, cfg)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert max(blocks) == (1 if cap == 1 else len(self.ROWS))
+
+    def test_no_rows(self):
+        assert adaptive_quad_rows(_stack([]), 0, 0.0, 1.0).shape == (0,)
 
 
 class TestGammaFracMoment:
